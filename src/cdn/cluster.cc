@@ -96,18 +96,7 @@ std::size_t EdgeCluster::nodes_touched() const noexcept {
 
 ShieldStats EdgeCluster::total_shield_stats() const noexcept {
   ShieldStats total;
-  for (const auto& n : nodes_) {
-    const ShieldStats& s = n->shield_stats();
-    total.loop_rejected += s.loop_rejected;
-    total.hop_cap_rejected += s.hop_cap_rejected;
-    total.coalesced_hits += s.coalesced_hits;
-    total.fill_fetches += s.fill_fetches;
-    total.shed_breaker_open += s.shed_breaker_open;
-    total.shed_admission += s.shed_admission;
-    total.breaker_trips += s.breaker_trips;
-    total.half_open_probes += s.half_open_probes;
-    total.shed_responses += s.shed_responses;
-  }
+  for (const auto& n : nodes_) total += n->shield_stats();
   return total;
 }
 

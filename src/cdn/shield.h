@@ -99,6 +99,20 @@ struct ShieldStats {
   std::uint64_t loop_rejects_total() const noexcept {
     return loop_rejected + hop_cap_rejected;
   }
+
+  /// Field-wise sum: totals across nodes, and across campaign shards.
+  ShieldStats& operator+=(const ShieldStats& other) noexcept {
+    loop_rejected += other.loop_rejected;
+    hop_cap_rejected += other.hop_cap_rejected;
+    coalesced_hits += other.coalesced_hits;
+    fill_fetches += other.fill_fetches;
+    shed_breaker_open += other.shed_breaker_open;
+    shed_admission += other.shed_admission;
+    breaker_trips += other.breaker_trips;
+    half_open_probes += other.half_open_probes;
+    shed_responses += other.shed_responses;
+    return *this;
+  }
 };
 
 // ---------------------------------------------------------------------------

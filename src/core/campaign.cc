@@ -17,17 +17,46 @@
 namespace rangeamp::core {
 namespace {
 
-void add_shield_stats(cdn::ShieldStats& into, const cdn::ShieldStats& from) {
-  into.loop_rejected += from.loop_rejected;
-  into.hop_cap_rejected += from.hop_cap_rejected;
-  into.coalesced_hits += from.coalesced_hits;
-  into.fill_fetches += from.fill_fetches;
-  into.shed_breaker_open += from.shed_breaker_open;
-  into.shed_admission += from.shed_admission;
-  into.breaker_trips += from.breaker_trips;
-  into.half_open_probes += from.half_open_probes;
-  into.shed_responses += from.shed_responses;
-}
+// Zipf(1) legit catalog shared by the pollution and gossip campaigns: the
+// resources /obj/0 .. /obj/<n-1>, rank k requested with weight 1/k.  The CDF
+// is built with divisions only -- std::pow is not bit-stable across libms
+// and the committed CSVs must regenerate byte-identically everywhere.
+class ZipfCatalog {
+ public:
+  explicit ZipfCatalog(std::size_t objects) : cdf_(objects) {
+    if (objects == 0) {
+      throw std::invalid_argument("Zipf catalog: catalog_objects must be >= 1");
+    }
+    double total_weight = 0;
+    for (std::size_t i = 0; i < objects; ++i) {
+      total_weight += 1.0 / static_cast<double>(i + 1);
+      cdf_[i] = total_weight;
+    }
+  }
+
+  static std::string path(std::size_t rank) {
+    return "/obj/" + std::to_string(rank);
+  }
+
+  void add_to(origin::OriginServer& origin, std::uint64_t object_bytes) const {
+    for (std::size_t i = 0; i < cdf_.size(); ++i) {
+      origin.resources().add_synthetic(path(i), object_bytes,
+                                       "application/octet-stream");
+    }
+  }
+
+  /// One draw: 53 uniform bits -> [0, total weight) -> CDF inversion by
+  /// binary search.
+  std::size_t rank(http::Rng& rng) const {
+    const double u =
+        static_cast<double>(rng.next() >> 11) * 0x1.0p-53 * cdf_.back();
+    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+    return std::min<std::size_t>(it - cdf_.begin(), cdf_.size() - 1);
+  }
+
+ private:
+  std::vector<double> cdf_;
+};
 
 // ---------------------------------------------------------------------------
 // SBR campaign: shard block runner + ordered reduction.
@@ -36,9 +65,8 @@ void add_shield_stats(cdn::ShieldStats& into, const cdn::ShieldStats& from) {
 // OWN testbed (origin, cluster, recorder -- the per-shard ownership rule of
 // core/parallel.h), stamping each exchange with its *global* index so the
 // cache-busting keys, node pinning, and simulated clock are the same whether
-// the grid runs as one block or many.  The serial path is exactly the
-// single-block call [0, total) with the caller's tracer/metrics sinks, which
-// is what keeps every pre-sharding CSV byte-identical.
+// the grid runs as one block or many.  A one-shard campaign is the single
+// block [0, total) on the caller's tracer/metrics sinks (run_sharded).
 // ---------------------------------------------------------------------------
 
 struct SbrBlockResult {
@@ -49,8 +77,8 @@ struct SbrBlockResult {
   std::vector<std::uint64_t> per_node_ingress_exchanges;
   cdn::ShieldStats shield;
   /// Per-exchange detector samples in global-index order; the campaign
-  /// replays the concatenation through one detector so the verdict is a
-  /// function of the merged sample stream, not of thread scheduling.
+  /// replays every block's samples, in block order, through one detector so
+  /// the verdict is a function of the merged stream, not of scheduling.
   std::vector<DetectorSample> samples;
 };
 
@@ -134,8 +162,10 @@ SbrBlockResult run_sbr_block(const SbrCampaignConfig& config,
       // One root span per amplification unit: the wire and CDN spans of this
       // unit's sends nest under it.
       obs::SpanScope unit(tracer, "sbr.request");
-      unit.note("index", std::to_string(i));
-      unit.note("target", request.target);
+      if (unit) {
+        unit.note("index", std::to_string(i));
+        unit.note("target", request.target);
+      }
       for (int s = 0; s < plan.sends; ++s) client_wire->transfer(request);
     }
 
@@ -210,69 +240,39 @@ SbrCampaignResult run_sbr_campaign(const SbrCampaignConfig& config,
   const std::uint64_t burst =
       config.same_key_burst > 1 ? static_cast<std::uint64_t>(config.same_key_burst) : 1;
 
-  SbrBlockResult merged;
-  if (config.shards <= 1) {
-    // Serial path: one block over the whole grid, writing straight into the
-    // caller's observability sinks -- bit-for-bit the pre-sharding campaign.
-    merged = run_sbr_block(config, plan, 0, total_requests, config.tracer,
-                           config.metrics);
-  } else {
-    // Sharded path: burst-aligned contiguous blocks, each against its own
-    // testbed and its own tracer/metrics sinks, merged in shard order.
-    struct ShardOut {
-      SbrBlockResult block;
-      obs::Tracer tracer;
-      obs::MetricsRegistry metrics;
-    };
-    const ShardPlan shard_plan(total_requests, config.shards, /*seed=*/0,
-                               burst);
-    std::vector<ShardOut> outs(shard_plan.size());
-    run_shards(shard_plan, static_cast<std::size_t>(config.threads),
-               [&](const Shard& shard) {
-                 ShardOut& out = outs[shard.index];
-                 out.block = run_sbr_block(
-                     config, plan, shard.begin, shard.end,
-                     config.tracer ? &out.tracer : nullptr,
-                     config.metrics ? &out.metrics : nullptr);
-               });
-    merged.per_node_upstream_bytes.assign(config.edge_nodes, 0);
-    merged.per_node_ingress_exchanges.assign(config.edge_nodes, 0);
-    for (ShardOut& out : outs) {
-      merged.attacker += out.block.attacker;
-      merged.attacker_truncated += out.block.attacker_truncated;
-      merged.origin_response_bytes += out.block.origin_response_bytes;
-      for (std::size_t i = 0; i < config.edge_nodes; ++i) {
-        merged.per_node_upstream_bytes[i] += out.block.per_node_upstream_bytes[i];
-        merged.per_node_ingress_exchanges[i] +=
-            out.block.per_node_ingress_exchanges[i];
-      }
-      add_shield_stats(merged.shield, out.block.shield);
-      merged.samples.insert(merged.samples.end(), out.block.samples.begin(),
-                            out.block.samples.end());
-      if (config.tracer) config.tracer->merge_from(out.tracer);
-      if (config.metrics) config.metrics->merge_from(out.metrics);
-    }
-  }
+  // Burst-aligned blocks, so a same-key group never straddles shards.
+  const std::vector<SbrBlockResult> blocks = run_sharded(
+      total_requests, config.shards, config.threads, /*seed=*/0, burst,
+      {config.tracer, config.metrics},
+      [&](const Shard& shard, ShardSinks sinks) {
+        return run_sbr_block(config, plan, shard.begin, shard.end,
+                             sinks.tracer, sinks.metrics);
+      });
 
-  // Detector replay: the concatenated sample stream is in global exchange
-  // order regardless of how many shards produced it, so the sliding-window
-  // verdict matches the serial run's whenever the samples do.
+  // Detector replay: the blocks' samples, in block order, are the global
+  // exchange order regardless of how many shards produced them, so the
+  // sliding-window verdict matches the serial run's whenever the samples do.
   RangeAmpDetector detector(detector_config);
-  for (const DetectorSample& sample : merged.samples) detector.observe(sample);
-
   SbrCampaignResult result;
-  result.attacker = merged.attacker;
-  result.attacker_truncated = merged.attacker_truncated;
-  result.origin.response_bytes = merged.origin_response_bytes;
-  result.amplification = net::amplification_factor(result.origin, result.attacker);
-  result.per_node_upstream_bytes = merged.per_node_upstream_bytes;
-  result.nodes_touched = 0;
-  for (const std::uint64_t exchanges : merged.per_node_ingress_exchanges) {
-    if (exchanges > 0) ++result.nodes_touched;
+  result.per_node_upstream_bytes.assign(config.edge_nodes, 0);
+  std::vector<std::uint64_t> ingress_exchanges(config.edge_nodes, 0);
+  for (const SbrBlockResult& block : blocks) {
+    result.attacker += block.attacker;
+    result.attacker_truncated += block.attacker_truncated;
+    result.origin.response_bytes += block.origin_response_bytes;
+    for (std::size_t i = 0; i < config.edge_nodes; ++i) {
+      result.per_node_upstream_bytes[i] += block.per_node_upstream_bytes[i];
+      ingress_exchanges[i] += block.per_node_ingress_exchanges[i];
+    }
+    result.shield_stats += block.shield;
+    for (const DetectorSample& sample : block.samples) detector.observe(sample);
   }
+  result.amplification = net::amplification_factor(result.origin, result.attacker);
+  result.nodes_touched = static_cast<std::size_t>(
+      std::count_if(ingress_exchanges.begin(), ingress_exchanges.end(),
+                    [](std::uint64_t exchanges) { return exchanges > 0; }));
   result.detector_alarmed = detector.alarmed();
   result.detector_stats = detector.stats();
-  result.shield_stats = merged.shield;
 
   // Project onto the fluid link for the time series: per-request byte costs
   // are the campaign averages.
@@ -408,8 +408,8 @@ ObrCampaignResult run_obr_campaign(const ObrCampaignConfig& config) {
       static_cast<std::uint64_t>(config.duration_s);
   const std::string range_value = obr_range_case(config.fcdn, result.n).to_string();
 
-  const ShardPlan shard_plan(total_requests,
-                             std::max<std::size_t>(1, config.shards));
+  // A one-shard plan runs inline; no observability sinks to split.
+  const ShardPlan shard_plan(total_requests, config.shards);
   std::vector<ObrBlockResult> blocks(shard_plan.size());
   run_shards(shard_plan, static_cast<std::size_t>(std::max(1, config.threads)),
              [&](const Shard& shard) {
@@ -567,22 +567,14 @@ LegitWorkloadConfig LegitWorkloadConfig::Builder::build() const {
 
 LegitWorkloadResult run_legit_workload(const LegitWorkloadConfig& config,
                                        const DetectorConfig& detector_config) {
-  std::vector<LegitBlockResult> blocks;
-  if (config.shards <= 1) {
-    // Serial path: the legacy single-stream run, seeded with config.seed
-    // directly (NOT a derived stream) so pre-sharding results replay
-    // byte-identically.
-    blocks.push_back(run_legit_block(config, config.seed, config.requests));
-  } else {
-    const ShardPlan shard_plan(config.requests, config.shards, config.seed);
-    blocks.resize(shard_plan.size());
-    run_shards(shard_plan, static_cast<std::size_t>(std::max(1, config.threads)),
-               [&](const Shard& shard) {
-                 blocks[shard.index] = run_legit_block(
-                     config, shard.seed,
-                     static_cast<std::size_t>(shard.size()));
-               });
-  }
+  // One shard replays the legacy single stream seeded with config.seed;
+  // more shards draw SplitMix64(seed ^ index) streams.
+  const std::vector<LegitBlockResult> blocks = run_sharded(
+      config.requests, config.shards, config.threads, config.seed,
+      /*group=*/1, {}, [&](const Shard& shard, ShardSinks) {
+        return run_legit_block(config, shard.seed,
+                               static_cast<std::size_t>(shard.size()));
+      });
 
   RangeAmpDetector detector(detector_config);
   LegitWorkloadResult result;
@@ -606,24 +598,13 @@ LegitWorkloadResult run_legit_workload(const LegitWorkloadConfig& config,
 
 namespace {
 
-struct PollutionBlockResult {
-  std::size_t legit_requests = 0;
-  std::size_t attack_requests = 0;
-  std::size_t legit_hits = 0;
-  net::TrafficTotals attacker;
-  std::uint64_t origin_response_bytes = 0;
-  std::uint64_t attack_origin_response_bytes = 0;
-  std::uint64_t cache_bytes_peak = 0;
-  std::uint64_t cache_bytes_end = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_admission_rejects = 0;
-};
-
 // One block runs `requests` interleaved exchanges against its OWN origin +
 // single edge node (per-shard cache ownership, docs/parallel-model.md).
 // Attack keys are stamped with the *global* request index so no two shards
-// ever reuse a cache-busting query.
-PollutionBlockResult run_pollution_block(const CachePollutionConfig& config,
+// ever reuse a cache-busting query.  Returns the block's raw counts (the
+// rates are derived once the blocks are summed).
+CachePollutionResult run_pollution_block(const CachePollutionConfig& config,
+                                         const ZipfCatalog& catalog,
                                          std::uint64_t rng_seed,
                                          std::uint64_t global_begin,
                                          std::size_t requests,
@@ -631,11 +612,7 @@ PollutionBlockResult run_pollution_block(const CachePollutionConfig& config,
   origin::OriginServer origin;
   origin.resources().add_synthetic("/target.bin", config.attack_object_bytes,
                                    "application/octet-stream");
-  for (std::size_t i = 0; i < config.catalog_objects; ++i) {
-    origin.resources().add_synthetic("/obj/" + std::to_string(i),
-                                     config.object_bytes,
-                                     "application/octet-stream");
-  }
+  catalog.add_to(origin, config.object_bytes);
 
   cdn::VendorProfile profile = cdn::make_profile(config.vendor);
   profile.traits.cache = config.cache;
@@ -649,29 +626,11 @@ PollutionBlockResult run_pollution_block(const CachePollutionConfig& config,
   legit_traffic.set_keep_log(false);
   net::Wire legit_wire(legit_traffic, node);
 
-  // Zipf(1) popularity CDF over object ranks (rank-k weight 1/k), built
-  // with divisions only -- std::pow is not bit-stable across libms and the
-  // committed CSV must regenerate byte-identically everywhere.
-  std::vector<double> cdf(config.catalog_objects);
-  double total_weight = 0;
-  for (std::size_t i = 0; i < config.catalog_objects; ++i) {
-    total_weight += 1.0 / static_cast<double>(i + 1);
-    cdf[i] = total_weight;
-  }
-
   http::Rng rng{rng_seed};
-  const auto zipf_rank = [&]() -> std::size_t {
-    // 53 uniform bits -> [0, 1) -> CDF inversion by binary search.
-    const double u =
-        static_cast<double>(rng.next() >> 11) * 0x1.0p-53 * total_weight;
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-    return std::min<std::size_t>(it - cdf.begin(), config.catalog_objects - 1);
-  };
-
-  PollutionBlockResult block;
+  CachePollutionResult block;
   const auto legit_request = [&](bool measured) {
     http::Request request = http::make_get(
-        "shop.example.com", "/obj/" + std::to_string(zipf_rank()));
+        "shop.example.com", ZipfCatalog::path(catalog.rank(rng)));
     const std::uint64_t before = node.upstream_traffic().response_bytes();
     legit_wire.transfer(request);
     if (!measured) return;
@@ -719,34 +678,19 @@ PollutionBlockResult run_pollution_block(const CachePollutionConfig& config,
 
 CachePollutionResult run_cache_pollution_campaign(
     const CachePollutionConfig& config) {
-  std::vector<PollutionBlockResult> blocks;
-  if (config.shards <= 1) {
-    // Serial path: seeded with config.seed directly (NOT a derived stream)
-    // so the canonical single-shard rows replay byte-identically.
-    blocks.push_back(run_pollution_block(config, config.seed, 0,
-                                         config.requests, config.metrics));
-  } else {
-    const ShardPlan shard_plan(config.requests, config.shards, config.seed);
-    blocks.resize(shard_plan.size());
-    std::vector<obs::MetricsRegistry> shard_metrics(
-        config.metrics ? shard_plan.size() : 0);
-    run_shards(shard_plan,
-               static_cast<std::size_t>(std::max(1, config.threads)),
-               [&](const Shard& shard) {
-                 blocks[shard.index] = run_pollution_block(
-                     config, shard.seed, shard.begin,
-                     static_cast<std::size_t>(shard.size()),
-                     config.metrics ? &shard_metrics[shard.index] : nullptr);
-               });
-    if (config.metrics) {
-      for (const obs::MetricsRegistry& m : shard_metrics) {
-        config.metrics->merge_from(m);
-      }
-    }
-  }
+  const ZipfCatalog catalog(config.catalog_objects);
+  // One shard is the canonical serial run seeded with config.seed itself.
+  const std::vector<CachePollutionResult> blocks = run_sharded(
+      config.requests, config.shards, config.threads, config.seed,
+      /*group=*/1, {nullptr, config.metrics},
+      [&](const Shard& shard, ShardSinks sinks) {
+        return run_pollution_block(config, catalog, shard.seed, shard.begin,
+                                   static_cast<std::size_t>(shard.size()),
+                                   sinks.metrics);
+      });
 
   CachePollutionResult result;
-  for (const PollutionBlockResult& block : blocks) {
+  for (const CachePollutionResult& block : blocks) {
     result.legit_requests += block.legit_requests;
     result.attack_requests += block.attack_requests;
     result.legit_hits += block.legit_hits;
@@ -797,10 +741,9 @@ struct GossipExchange {
 // exchanges must later replay serially against ONE cluster, and the schedule
 // itself is what sharding parallelizes.
 void fill_gossip_schedule(const GossipDetectionConfig& config,
+                          const ZipfCatalog& catalog,
                           std::vector<GossipExchange>& schedule,
-                          const std::vector<double>& zipf_cdf,
-                          double zipf_total_weight, std::uint64_t begin,
-                          std::uint64_t end) {
+                          std::uint64_t begin, std::uint64_t end) {
   const std::uint64_t stream = splitmix64(config.seed);
   const std::size_t rotation =
       std::max<std::size_t>(1, config.attacker_rotation_requests);
@@ -821,15 +764,7 @@ void fill_gossip_schedule(const GossipDetectionConfig& config,
     ex.node = static_cast<std::uint32_t>(splitmix64(ex.user) %
                                          config.edge_nodes);
     ex.probe = rng.chance(config.probe_fraction);
-    if (!ex.probe) {
-      // Zipf(1) CDF inversion, same divisions-only table as the pollution
-      // campaign (std::pow is not bit-stable across libms).
-      const double u = static_cast<double>(rng.next() >> 11) * 0x1.0p-53 *
-                       zipf_total_weight;
-      const auto it = std::lower_bound(zipf_cdf.begin(), zipf_cdf.end(), u);
-      ex.object = static_cast<std::uint32_t>(std::min<std::size_t>(
-          it - zipf_cdf.begin(), config.catalog_objects - 1));
-    }
+    if (!ex.probe) ex.object = static_cast<std::uint32_t>(catalog.rank(rng));
   }
 }
 
@@ -841,45 +776,28 @@ GossipDetectionResult run_gossip_detection_campaign(
     throw std::invalid_argument(
         "GossipDetectionConfig: edge_nodes must be >= 1");
   }
-  if (config.catalog_objects == 0 || config.legit_users == 0) {
+  if (config.legit_users == 0) {
     throw std::invalid_argument(
-        "GossipDetectionConfig: catalog_objects and legit_users must be >= 1");
+        "GossipDetectionConfig: legit_users must be >= 1");
   }
-
-  std::vector<double> zipf_cdf(config.catalog_objects);
-  double zipf_total_weight = 0;
-  for (std::size_t i = 0; i < config.catalog_objects; ++i) {
-    zipf_total_weight += 1.0 / static_cast<double>(i + 1);
-    zipf_cdf[i] = zipf_total_weight;
-  }
+  const ZipfCatalog catalog(config.catalog_objects);
 
   // Phase 1: materialize the exchange schedule (parallel-safe; every slot is
-  // index-derived, so serial and sharded fills are byte-identical).
+  // index-derived, so serial and sharded fills are byte-identical).  A
+  // one-shard plan fills inline.
   std::vector<GossipExchange> schedule(config.requests);
-  if (config.shards <= 1) {
-    fill_gossip_schedule(config, schedule, zipf_cdf, zipf_total_weight, 0,
-                         config.requests);
-  } else {
-    const ShardPlan shard_plan(config.requests, config.shards, config.seed);
-    run_shards(shard_plan,
-               static_cast<std::size_t>(std::max(1, config.threads)),
-               [&](const Shard& shard) {
-                 fill_gossip_schedule(
-                     config, schedule, zipf_cdf, zipf_total_weight,
-                     shard.begin,
-                     shard.begin + static_cast<std::uint64_t>(shard.size()));
-               });
-  }
+  const ShardPlan shard_plan(config.requests, config.shards, config.seed);
+  run_shards(shard_plan, static_cast<std::size_t>(std::max(1, config.threads)),
+             [&](const Shard& shard) {
+               fill_gossip_schedule(config, catalog, schedule, shard.begin,
+                                    shard.end);
+             });
 
   // Phase 2: replay serially against one detection-enabled cluster.
   origin::OriginServer origin;
   origin.resources().add_synthetic("/target.bin", config.attack_object_bytes,
                                    "application/octet-stream");
-  for (std::size_t i = 0; i < config.catalog_objects; ++i) {
-    origin.resources().add_synthetic("/obj/" + std::to_string(i),
-                                     config.object_bytes,
-                                     "application/octet-stream");
-  }
+  catalog.add_to(origin, config.object_bytes);
 
   cdn::EdgeCluster cluster(
       [&]() {
@@ -949,7 +867,7 @@ GossipDetectionResult run_gossip_detection_campaign(
                           "u" + std::to_string(ex.user));
     } else {
       request = http::make_get("shop.example.com",
-                               "/obj/" + std::to_string(ex.object));
+                               ZipfCatalog::path(ex.object));
       request.headers.add(std::string(cdn::kClientKeyHeader),
                           "u" + std::to_string(ex.user));
     }

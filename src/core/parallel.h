@@ -4,7 +4,7 @@
 // *independent* exchanges (the paper's amplification factors are byte ratios
 // summed across requests), which parallelizes without changing a single
 // result byte -- provided the decomposition is deterministic.  This module
-// supplies the two pieces the campaign drivers build on:
+// supplies the pieces the campaign drivers build on:
 //
 //   * ShardPlan -- splits an exchange grid [0, total) into contiguous,
 //     group-aligned shards, each with a deterministically derived RNG seed
@@ -13,11 +13,17 @@
 //     the hardware, or a clock, so the same shard boundaries and seeds come
 //     out on every machine and at every parallelism level.
 //
-//   * ThreadPool / run_shards -- a fixed-size worker pool (MPSC task queue,
-//     mutex+condvar handoff) that executes one task per shard.  Threads only
-//     decide *when* a shard runs, never *what* it computes; reductions are
-//     performed by the caller in shard-index order after every shard
-//     completed, so the merged result is identical at any thread count.
+//   * run_shards -- runs one task per shard on up to `threads` short-lived
+//     std::threads that claim shard indices from one atomic counter.
+//     Threads only decide *when* a shard runs, never *what* it computes.
+//
+//   * run_sharded -- the one campaign driver: plan, run, and hand back the
+//     per-shard blocks in shard-index order, with per-shard obs sinks
+//     merged into the caller's.  A one-shard run is a single inline block
+//     over the whole grid on the caller's own sinks and seeded with the
+//     campaign seed itself; every reduction happens on the calling thread
+//     after every shard completed, so the result is identical at any
+//     thread count.
 //
 // ## Per-shard ownership rule
 //
@@ -44,9 +50,14 @@
 // campaign must keep `shards = 1` for; see docs/parallel-model.md.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
+
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace rangeamp::core {
 
@@ -100,40 +111,60 @@ class ShardPlan {
   std::vector<Shard> shards_;
 };
 
-/// Fixed-size worker pool over an MPSC task queue.  Tasks are opaque
-/// thunks; submission is cheap and never blocks on task execution.  The
-/// pool is a scheduling device only -- determinism is the shard plan's job.
-class ThreadPool {
- public:
-  /// Spawns `threads` workers (at least one).
-  explicit ThreadPool(std::size_t threads);
-  /// Drains the queue, then joins every worker.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task for execution by any worker.
-  void submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and every worker is idle.
-  void wait_idle();
-
-  std::size_t thread_count() const noexcept { return workers_count_; }
-
- private:
-  struct Impl;
-  Impl* impl_;
-  std::size_t workers_count_;
-};
-
 /// Runs `fn(shard)` for every shard of `plan` on up to `threads` workers
 /// and returns once all shards completed.  With `threads <= 1` (or a
 /// single-shard plan) the shards run inline on the calling thread, in shard
-/// order, with no pool ever created -- the serial path stays allocation-
-/// and syscall-identical to a plain loop.  If any shard throws, the first
-/// exception (in shard-index order) is rethrown after all shards finished.
+/// order, and no thread is ever started -- the serial path stays
+/// allocation- and syscall-identical to a plain loop.  If any shard throws,
+/// the first exception (in shard-index order) is rethrown after all shards
+/// finished.
 void run_shards(const ShardPlan& plan, std::size_t threads,
                 const std::function<void(const Shard&)>& fn);
+
+/// The caller's observability sinks for one campaign; either may be null.
+struct ShardSinks {
+  obs::Tracer* tracer = nullptr;
+  obs::MetricsRegistry* metrics = nullptr;
+};
+
+/// The sharded-campaign driver: runs `block_fn(shard, sinks) -> Block` over
+/// the grid [0, total) and returns the blocks in shard-index order for the
+/// caller to fold.
+///
+/// With `shards <= 1` the whole grid is one block, run inline on the
+/// caller's own sinks and seeded with `seed` itself (not a derived stream),
+/// so a one-shard campaign is exactly its plain serial loop.  Otherwise the
+/// grid is split by ShardPlan(total, shards, seed, group) and run on up to
+/// `threads` workers; each shard gets a private tracer/registry for every
+/// non-null caller sink, merged into the caller's in shard order once all
+/// shards completed.
+template <class BlockFn,
+          class Block = std::invoke_result_t<BlockFn&, const Shard&, ShardSinks>>
+std::vector<Block> run_sharded(std::uint64_t total, std::size_t shards,
+                               int threads, std::uint64_t seed,
+                               std::uint64_t group, ShardSinks sinks,
+                               BlockFn&& block_fn) {
+  std::vector<Block> blocks;
+  if (shards <= 1) {
+    blocks.push_back(block_fn(Shard{.begin = 0, .end = total, .seed = seed}, sinks));
+    return blocks;
+  }
+  const ShardPlan plan(total, shards, seed, group);
+  blocks.resize(plan.size());
+  std::vector<obs::Tracer> tracers(sinks.tracer ? plan.size() : 0);
+  std::vector<obs::MetricsRegistry> registries(sinks.metrics ? plan.size() : 0);
+  run_shards(plan, static_cast<std::size_t>(std::max(1, threads)),
+             [&](const Shard& shard) {
+               const std::size_t i = shard.index;
+               blocks[i] = block_fn(
+                   shard, {sinks.tracer ? &tracers[i] : nullptr,
+                           sinks.metrics ? &registries[i] : nullptr});
+             });
+  for (const obs::Tracer& tracer : tracers) sinks.tracer->merge_from(tracer);
+  for (const obs::MetricsRegistry& registry : registries) {
+    sinks.metrics->merge_from(registry);
+  }
+  return blocks;
+}
 
 }  // namespace rangeamp::core

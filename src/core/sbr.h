@@ -58,10 +58,10 @@ SbrMeasurement measure_sbr(cdn::Vendor vendor, std::uint64_t file_size,
 
 /// Sweeps file sizes (the paper: 1..25 MB step 1 MB) for one vendor.
 /// Every measurement runs against a fresh testbed, so the sweep is
-/// embarrassingly parallel: with `threads` > 1 the measurements run on a
-/// worker pool (one shard per size, see core/parallel.h) and are reduced in
-/// file-size order -- the returned vector, and with a tracer the merged
-/// span tree, are byte-identical at any thread count.
+/// embarrassingly parallel: with `threads` > 1 the measurements run as one
+/// shard per size on up to `threads` workers (core/parallel.h) and are
+/// reduced in file-size order -- the returned vector, and with a tracer the
+/// merged span tree, are byte-identical at any thread count.
 std::vector<SbrMeasurement> sweep_sbr(cdn::Vendor vendor,
                                       const std::vector<std::uint64_t>& file_sizes,
                                       const cdn::ProfileOptions& options = {},

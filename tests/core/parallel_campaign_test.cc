@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <vector>
 
 #include "core/rangeamp.h"
 #include "obs/metrics.h"
@@ -77,19 +78,30 @@ TEST(ShardPlanTest, SeedsDependOnlyOnSeedAndIndex) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool / run_shards
+// run_shards
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPoolTest, ExecutesEveryTask) {
-  std::atomic<int> done{0};
-  {
-    core::ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+TEST(RunShardsTest, RunsEveryShardExactlyOnce) {
+  const core::ShardPlan plan(100, 100);
+  for (const std::size_t threads : {1u, 3u, 16u}) {
+    std::vector<std::atomic<int>> runs(plan.size());
+    core::run_shards(plan, threads, [&runs](const core::Shard& shard) {
+      runs[shard.index].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "shard " << i << ", threads " << threads;
     }
-    pool.wait_idle();
-    EXPECT_EQ(done.load(), 100);
   }
+}
+
+TEST(RunShardsTest, EmptyPlanRunsNothing) {
+  const core::ShardPlan empty(0, 4);
+  std::atomic<int> runs{0};
+  for (const std::size_t threads : {1u, 4u}) {
+    core::run_shards(empty, threads,
+                     [&runs](const core::Shard&) { runs.fetch_add(1); });
+  }
+  EXPECT_EQ(runs.load(), 0);
 }
 
 TEST(RunShardsTest, RethrowsFirstShardError) {
@@ -436,6 +448,18 @@ TEST(CachePollutionCampaignTest, MixesBothWorkloadsAndRespectsBudget) {
   EXPECT_GT(r.attack_amplification, 10.0);
 }
 
+TEST(CachePollutionCampaignTest, RejectsEmptyCatalog) {
+  // Every legit request would otherwise target /obj/0, which the origin
+  // does not hold.
+  core::CachePollutionConfig config = small_pollution();
+  config.catalog_objects = 0;
+  EXPECT_THROW(core::run_cache_pollution_campaign(config),
+               std::invalid_argument);
+  config.shards = 2;
+  EXPECT_THROW(core::run_cache_pollution_campaign(config),
+               std::invalid_argument);
+}
+
 TEST(CachePollutionCampaignTest, ShardedMergesMetricsInShardOrder) {
   core::CachePollutionConfig config = small_pollution();
   config.shards = 2;
@@ -449,6 +473,58 @@ TEST(CachePollutionCampaignTest, ShardedMergesMetricsInShardOrder) {
       r.cache_evictions);
   EXPECT_GT(metrics.counter("cdn_requests_total{vendor=\"Akamai\"}").value(),
             0u);
+}
+
+// ---------------------------------------------------------------------------
+// Gossip-detection campaign
+// ---------------------------------------------------------------------------
+
+core::GossipDetectionConfig small_gossip() {
+  core::GossipDetectionConfig config;
+  config.edge_nodes = 4;
+  config.requests = 4000;
+  config.legit_users = 1000;
+  config.detection.enabled = true;
+  config.detection.quarantine_enabled = true;
+  config.detection.gossip.enabled = true;
+  config.detection.gossip.fanout = 2;
+  return config;
+}
+
+TEST(GossipDetectionCampaignTest, ShardedScheduleEqualsSerial) {
+  // The schedule is index-derived, so sharding its fill must not move a
+  // single field of the (serially replayed) campaign.
+  core::GossipDetectionConfig config = small_gossip();
+  const core::GossipDetectionResult a =
+      core::run_gossip_detection_campaign(config);
+  config.shards = 8;
+  config.threads = 4;
+  const core::GossipDetectionResult b =
+      core::run_gossip_detection_campaign(config);
+
+  EXPECT_EQ(a.legit_requests, b.legit_requests);
+  EXPECT_EQ(a.attack_requests, b.attack_requests);
+  EXPECT_EQ(a.legit_quarantined, b.legit_quarantined);
+  EXPECT_EQ(a.attack_quarantined, b.attack_quarantined);
+  EXPECT_DOUBLE_EQ(a.collateral_rate, b.collateral_rate);
+  EXPECT_DOUBLE_EQ(a.legit_hit_rate, b.legit_hit_rate);
+  EXPECT_EQ(a.convergence_exchange, b.convergence_exchange);
+  EXPECT_DOUBLE_EQ(a.convergence_rotations, b.convergence_rotations);
+  EXPECT_DOUBLE_EQ(a.detection_latency_seconds, b.detection_latency_seconds);
+  EXPECT_EQ(a.alarms, b.alarms);
+  EXPECT_EQ(a.final_coverage, b.final_coverage);
+  EXPECT_EQ(a.signatures_expired, b.signatures_expired);
+  EXPECT_EQ(a.gossip.rounds, b.gossip.rounds);
+  EXPECT_EQ(a.gossip.messages_sent, b.gossip.messages_sent);
+  EXPECT_EQ(a.gossip.messages_dropped, b.gossip.messages_dropped);
+  EXPECT_EQ(a.gossip.signatures_sent, b.gossip.signatures_sent);
+  EXPECT_EQ(a.gossip.signatures_accepted, b.gossip.signatures_accepted);
+
+  // The run must exercise detection and gossip, or the equality is vacuous.
+  EXPECT_GT(a.attack_requests, 0u);
+  EXPECT_GT(a.alarms, 0u);
+  EXPECT_GE(a.convergence_exchange, 0);
+  EXPECT_GT(a.gossip.messages_sent, 0u);
 }
 
 }  // namespace
