@@ -937,6 +937,23 @@ std::optional<Response> CdnNode::check_assembly_budget(
                    std::to_string(cp.max_multipart_assembly_bytes));
 }
 
+Response CdnNode::respond_multipart(Headers content,
+                                    std::string_view content_type,
+                                    std::uint64_t total_size, Body source,
+                                    std::vector<http::MultipartPart> parts) {
+  // The body is one lazy window: its exact size is known before any framing
+  // byte exists.
+  Body body = http::build_multipart_byteranges(
+      {traits_.multipart_boundary, content_type,
+       traits_.multipart_part_extra_headers},
+      total_size, std::move(source), std::move(parts));
+  if (auto over = check_assembly_budget(body.size())) return std::move(*over);
+  content.add("Content-Length", std::to_string(body.size()));
+  content.add("Content-Type",
+              http::multipart_content_type(traits_.multipart_boundary));
+  return style(http::kPartialContent, content, std::move(body));
+}
+
 const CachedEntity* CdnNode::stale_entity(const Request& request) const {
   if (!traits_.cache_enabled) return nullptr;
   return cache_.find(resolve_cache_key(request));
@@ -1138,14 +1155,13 @@ Response CdnNode::respond_window(const EntityWindow& window, const RangeSet& ran
   const std::uint64_t win_size = window.body.size();
   const bool full_cover = win_first == 0 && win_size == total;
 
-  auto resolved = http::resolve_all(range, total);
-  if (resolved.empty()) return respond_416(total);
+  auto servable = http::resolve_all(range, total);
+  if (servable.empty()) return respond_416(total);
 
   // Keep only ranges the window can serve.
-  std::vector<ResolvedRange> servable;
-  for (const auto& r : resolved) {
-    if (r.first >= win_first && r.last < win_first + win_size) servable.push_back(r);
-  }
+  std::erase_if(servable, [&](const ResolvedRange& r) {
+    return r.first < win_first || r.last >= win_first + win_size;
+  });
   if (servable.empty()) {
     return error(http::kBadGateway, "no requested range within fetched window");
   }
@@ -1166,25 +1182,13 @@ Response CdnNode::respond_window(const EntityWindow& window, const RangeSet& ran
     return style(http::kPartialContent, content, slice(r));
   };
   const auto multipart = [&](const std::vector<ResolvedRange>& ranges) {
-    Body body;
+    std::vector<http::MultipartPart> parts;
+    parts.reserve(ranges.size());
     for (const auto& r : ranges) {
-      std::string part_head = "--" + traits_.multipart_boundary + "\r\n";
-      for (const auto& f : traits_.multipart_part_extra_headers) {
-        part_head += f.name + ": " + f.value + "\r\n";
-      }
-      part_head += "Content-Type: " + window.content_type + "\r\n" +
-                   "Content-Range: " + http::content_range(r, total) + "\r\n\r\n";
-      body.append_literal(part_head);
-      body.append_body(slice(r));
-      body.append_literal("\r\n");
+      parts.push_back({r, r.first - win_first, r.length()});
     }
-    body.append_literal("--" + traits_.multipart_boundary + "--\r\n");
-    if (auto over = check_assembly_budget(body.size())) return std::move(*over);
-    Headers content = entity_content_headers(meta);
-    content.add("Content-Length", std::to_string(body.size()));
-    content.add("Content-Type",
-                http::multipart_content_type(traits_.multipart_boundary));
-    return style(http::kPartialContent, content, std::move(body));
+    return respond_multipart(entity_content_headers(meta), window.content_type,
+                             total, window.body, std::move(parts));
   };
   const auto full_200 = [&]() -> Response {
     if (!full_cover) {
@@ -1241,26 +1245,16 @@ Response CdnNode::respond_assembled(
     content.add("Content-Type", content_type);
     return style(http::kPartialContent, content, std::move(payload));
   }
-  Body body;
-  for (auto& [r, payload] : parts) {
-    std::string part_head = "--" + traits_.multipart_boundary + "\r\n";
-    for (const auto& f : traits_.multipart_part_extra_headers) {
-      part_head += f.name + ": " + f.value + "\r\n";
-    }
-    part_head += "Content-Type: " + content_type + "\r\n" +
-                 "Content-Range: " + http::content_range(r, total_size) +
-                 "\r\n\r\n";
-    body.append_literal(part_head);
-    body.append_body(payload);
-    body.append_literal("\r\n");
+  // The part payloads, concatenated, are the source the parts frame.
+  Body source;
+  std::vector<http::MultipartPart> framed;
+  framed.reserve(parts.size());
+  for (const auto& [r, payload] : parts) {
+    framed.push_back({r, source.size(), payload.size()});
+    source.append_body(payload);
   }
-  body.append_literal("--" + traits_.multipart_boundary + "--\r\n");
-  if (auto over = check_assembly_budget(body.size())) return std::move(*over);
-  Headers content = validators;
-  content.add("Content-Length", std::to_string(body.size()));
-  content.add("Content-Type",
-              http::multipart_content_type(traits_.multipart_boundary));
-  return style(http::kPartialContent, content, std::move(body));
+  return respond_multipart(std::move(validators), content_type, total_size,
+                           std::move(source), std::move(framed));
 }
 
 Response CdnNode::relay(const Response& upstream) {

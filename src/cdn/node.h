@@ -26,6 +26,7 @@
 #include "cdn/overload.h"
 #include "cdn/shield.h"
 #include "cdn/types.h"
+#include "http/multipart.h"
 #include "http/range.h"
 #include "http/validate.h"
 #include "http2/wire.h"
@@ -320,9 +321,16 @@ class CdnNode final : public net::HttpHandler {
   void apply_conformance(FetchResult& result,
                          const std::optional<http::RangeSet>& range,
                          obs::SpanScope& span);
-  /// Client-facing multipart assembly budget (respond_window /
-  /// respond_assembled): nullopt admits the body, otherwise the 502 to serve.
+  /// Client-facing multipart assembly budget (respond_multipart): nullopt
+  /// admits the body, otherwise the 502 to serve.
   std::optional<http::Response> check_assembly_budget(std::uint64_t body_bytes);
+  /// The multipart/byteranges 206 of respond_window and respond_assembled:
+  /// frames `parts` of `source` with this vendor's boundary and part
+  /// headers, or answers 502 when the body is over the assembly budget.
+  http::Response respond_multipart(http::Headers content,
+                                   std::string_view content_type,
+                                   std::uint64_t total_size, http::Body source,
+                                   std::vector<http::MultipartPart> parts);
   void count_violation(http::ValidationCheck check, std::string_view action);
 
   VendorTraits traits_;

@@ -1,6 +1,9 @@
 #include "http/body.h"
 
+#include <algorithm>
 #include <cassert>
+
+#include "http/multipart.h"
 
 namespace rangeamp::http {
 
@@ -16,35 +19,71 @@ std::uint8_t synthetic_byte(std::uint64_t seed, std::uint64_t offset) noexcept {
   return static_cast<std::uint8_t>(x & 0xFF);
 }
 
+namespace {
+
+std::uint64_t chunk_size(const BodyChunk& c) noexcept {
+  if (const auto* s = std::get_if<std::string>(&c)) return s->size();
+  if (const auto* span = std::get_if<SyntheticSpan>(&c)) return span->length;
+  return std::get<MultipartWindow>(c).length;
+}
+
+// The bytes [first, first+length) of chunk `c`, as a chunk of the same kind.
+BodyChunk sub_chunk(const BodyChunk& c, std::uint64_t first, std::uint64_t length) {
+  if (const auto* s = std::get_if<std::string>(&c)) {
+    return s->substr(static_cast<std::size_t>(first), static_cast<std::size_t>(length));
+  }
+  if (const auto* span = std::get_if<SyntheticSpan>(&c)) {
+    return SyntheticSpan{span->seed, span->offset + first, length};
+  }
+  const auto& window = std::get<MultipartWindow>(c);
+  return MultipartWindow{window.layout, window.offset + first, length};
+}
+
+}  // namespace
+
 Body Body::literal(std::string bytes) {
   Body b;
-  if (!bytes.empty()) b.chunks_.emplace_back(std::move(bytes));
+  b.append(std::move(bytes));
   return b;
 }
 
 Body Body::synthetic(std::uint64_t seed, std::uint64_t offset, std::uint64_t length) {
   Body b;
-  if (length > 0) b.chunks_.emplace_back(SyntheticSpan{seed, offset, length});
+  b.append(SyntheticSpan{seed, offset, length});
+  return b;
+}
+
+Body Body::multipart(std::shared_ptr<const MultipartLayout> layout) {
+  Body b;
+  const std::uint64_t length = layout->size();
+  b.append(MultipartWindow{std::move(layout), 0, length});
   return b;
 }
 
 void Body::append(BodyChunk chunk) {
-  if (auto* s = std::get_if<std::string>(&chunk)) {
-    if (s->empty()) return;
-    if (!chunks_.empty()) {
-      if (auto* prev = std::get_if<std::string>(&chunks_.back())) {
+  const std::uint64_t length = chunk_size(chunk);
+  if (length == 0) return;
+  if (!chunks_.empty()) {
+    BodyChunk& back = chunks_.back();
+    if (auto* s = std::get_if<std::string>(&chunk)) {
+      if (auto* prev = std::get_if<std::string>(&back)) {
         prev->append(*s);
         return;
       }
-    }
-  } else if (auto* span = std::get_if<SyntheticSpan>(&chunk)) {
-    if (span->length == 0) return;
-    if (!chunks_.empty()) {
-      if (auto* prev = std::get_if<SyntheticSpan>(&chunks_.back())) {
-        if (prev->seed == span->seed && prev->offset + prev->length == span->offset) {
-          prev->length += span->length;
-          return;
-        }
+    } else if (auto* span = std::get_if<SyntheticSpan>(&chunk)) {
+      auto* prev = std::get_if<SyntheticSpan>(&back);
+      if (prev && prev->seed == span->seed &&
+          prev->offset + prev->length == span->offset) {
+        prev->length += span->length;
+        return;
+      }
+    } else {
+      const auto& window = std::get<MultipartWindow>(chunk);
+      auto* prev = std::get_if<MultipartWindow>(&back);
+      if (prev && prev->layout == window.layout &&
+          prev->offset + prev->length == window.offset) {
+        prev->length += window.length;
+        return;
       }
     }
   }
@@ -63,13 +102,7 @@ void Body::append_body(const Body& other) {
 
 std::uint64_t Body::size() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& c : chunks_) {
-    if (const auto* s = std::get_if<std::string>(&c)) {
-      total += s->size();
-    } else {
-      total += std::get<SyntheticSpan>(c).length;
-    }
-  }
+  for (const auto& c : chunks_) total += chunk_size(c);
   return total;
 }
 
@@ -77,26 +110,15 @@ Body Body::slice(std::uint64_t first, std::uint64_t length) const {
   assert(first + length <= size());
   Body out;
   std::uint64_t pos = 0;  // absolute position of current chunk start
-  std::uint64_t remaining = length;
   for (const auto& c : chunks_) {
-    if (remaining == 0) break;
-    const std::uint64_t chunk_len =
-        std::holds_alternative<std::string>(c)
-            ? std::get<std::string>(c).size()
-            : std::get<SyntheticSpan>(c).length;
-    const std::uint64_t chunk_end = pos + chunk_len;
+    if (length == 0) break;
+    const std::uint64_t chunk_end = pos + chunk_size(c);
     if (chunk_end > first) {
-      const std::uint64_t begin_in_chunk = first > pos ? first - pos : 0;
-      const std::uint64_t take =
-          std::min<std::uint64_t>(chunk_len - begin_in_chunk, remaining);
-      if (const auto* s = std::get_if<std::string>(&c)) {
-        out.append_literal(std::string_view{*s}.substr(begin_in_chunk, take));
-      } else {
-        const auto& span = std::get<SyntheticSpan>(c);
-        out.append_synthetic(span.seed, span.offset + begin_in_chunk, take);
-      }
+      const std::uint64_t begin_in_chunk = first - pos;
+      const std::uint64_t take = std::min(chunk_end - first, length);
+      out.append(sub_chunk(c, begin_in_chunk, take));
       first += take;
-      remaining -= take;
+      length -= take;
     }
     pos = chunk_end;
   }
@@ -111,34 +133,40 @@ void Body::truncate(std::uint64_t max_bytes) {
 std::string Body::materialize() const {
   std::string out;
   out.reserve(static_cast<std::size_t>(size()));
+  materialize_into(out);
+  return out;
+}
+
+void Body::materialize_into(std::string& out) const {
   for (const auto& c : chunks_) {
     if (const auto* s = std::get_if<std::string>(&c)) {
       out.append(*s);
-    } else {
-      const auto& span = std::get<SyntheticSpan>(c);
-      for (std::uint64_t i = 0; i < span.length; ++i) {
-        out.push_back(static_cast<char>(synthetic_byte(span.seed, span.offset + i)));
+    } else if (const auto* span = std::get_if<SyntheticSpan>(&c)) {
+      for (std::uint64_t i = 0; i < span->length; ++i) {
+        out.push_back(static_cast<char>(synthetic_byte(span->seed, span->offset + i)));
       }
+    } else {
+      const auto& window = std::get<MultipartWindow>(c);
+      window.layout->append_bytes(out, window.offset, window.length);
     }
   }
-  return out;
 }
 
 std::uint8_t Body::at(std::uint64_t pos) const {
   assert(pos < size());
   std::uint64_t chunk_start = 0;
   for (const auto& c : chunks_) {
-    const std::uint64_t chunk_len =
-        std::holds_alternative<std::string>(c)
-            ? std::get<std::string>(c).size()
-            : std::get<SyntheticSpan>(c).length;
+    const std::uint64_t chunk_len = chunk_size(c);
     if (pos < chunk_start + chunk_len) {
       const std::uint64_t off = pos - chunk_start;
       if (const auto* s = std::get_if<std::string>(&c)) {
         return static_cast<std::uint8_t>((*s)[static_cast<std::size_t>(off)]);
       }
-      const auto& span = std::get<SyntheticSpan>(c);
-      return synthetic_byte(span.seed, span.offset + off);
+      if (const auto* span = std::get_if<SyntheticSpan>(&c)) {
+        return synthetic_byte(span->seed, span->offset + off);
+      }
+      const auto& window = std::get<MultipartWindow>(c);
+      return window.layout->byte_at(window.offset + off);
     }
     chunk_start += chunk_len;
   }
@@ -147,13 +175,16 @@ std::uint8_t Body::at(std::uint64_t pos) const {
 }
 
 bool Body::operator==(const Body& other) const {
-  const std::uint64_t n = size();
-  if (n != other.size()) return false;
-  // Chunk layouts may differ; compare logical bytes.  Fast path: identical
-  // chunk vectors.
+  if (size() != other.size()) return false;
+  // Fast path: identical chunk vectors.
   if (chunks_ == other.chunks_) return true;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (at(i) != other.at(i)) return false;
+  // Chunk layouts differ: compare logical bytes one bounded window at a time.
+  constexpr std::uint64_t kWindow = 64 * 1024;
+  for (std::uint64_t pos = 0; pos < size(); pos += kWindow) {
+    const std::uint64_t n = std::min(kWindow, size() - pos);
+    if (slice(pos, n).materialize() != other.slice(pos, n).materialize()) {
+      return false;
+    }
   }
   return true;
 }

@@ -1,5 +1,6 @@
 #include "http/multipart.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "http/headers.h"
@@ -7,13 +8,24 @@
 namespace rangeamp::http {
 namespace {
 
-std::string part_header(const ResolvedRange& r, std::uint64_t resource_size,
-                        std::string_view content_type, std::string_view boundary) {
+constexpr std::string_view kContentRangePrefix = "Content-Range: bytes ";
+constexpr std::string_view kCrlf = "\r\n";
+
+std::string head_prefix(const MultipartFraming& framing) {
   std::string out;
-  out.append("--").append(boundary).append("\r\n");
-  out.append("Content-Type: ").append(content_type).append("\r\n");
-  out.append("Content-Range: ").append(content_range(r, resource_size)).append("\r\n");
-  out.append("\r\n");
+  out.append("--").append(framing.boundary).append("\r\n");
+  for (const auto& f : framing.extra_headers) {
+    out.append(f.name).append(": ").append(f.value).append("\r\n");
+  }
+  out.append("Content-Type: ").append(framing.content_type).append("\r\n");
+  out.append(kContentRangePrefix);
+  return out;
+}
+
+std::string head_suffix(std::uint64_t resource_size) {
+  std::string out = "/";
+  append_decimal(out, resource_size);
+  out.append("\r\n\r\n");
   return out;
 }
 
@@ -21,6 +33,16 @@ std::string closing_delimiter(std::string_view boundary) {
   std::string out;
   out.append("--").append(boundary).append("--\r\n");
   return out;
+}
+
+// Bytes a part occupies beside its head: the payload and its trailing CRLF.
+std::uint64_t part_tail_size(std::uint64_t payload) noexcept {
+  return payload + kCrlf.size();
+}
+
+// Length of a part head: fixed framing plus "first-last" in decimal.
+std::uint64_t part_head_size(std::size_t fixed, const ResolvedRange& r) noexcept {
+  return fixed + decimal_digits(r.first) + 1 + decimal_digits(r.last);
 }
 
 // RFC 2046 section 5.1.1: boundary := 0*69<bchars> bcharsnospace, i.e. at
@@ -46,33 +68,127 @@ bool valid_boundary(std::string_view b) noexcept {
 
 }  // namespace
 
+MultipartLayout::MultipartLayout(const MultipartFraming& framing,
+                                 std::uint64_t resource_size, Body source,
+                                 std::vector<MultipartPart> parts)
+    : head_prefix_(head_prefix(framing)),
+      head_suffix_(head_suffix(resource_size)),
+      closing_(closing_delimiter(framing.boundary)),
+      source_(std::move(source)),
+      parts_(std::move(parts)) {
+  starts_.reserve(parts_.size() + 1);
+  std::uint64_t pos = 0;
+  for (const auto& part : parts_) {
+    assert(part.source_offset + part.length <= source_.size());
+    starts_.push_back(pos);
+    pos += head_size(part) + part_tail_size(part.length);
+  }
+  starts_.push_back(pos);
+}
+
+std::size_t MultipartLayout::head_size(const MultipartPart& part) const noexcept {
+  return static_cast<std::size_t>(
+      part_head_size(head_prefix_.size() + head_suffix_.size(), part.range));
+}
+
+std::string MultipartLayout::head(const MultipartPart& part) const {
+  std::string out;
+  out.reserve(head_size(part));
+  out.append(head_prefix_);
+  append_decimal(out, part.range.first);
+  out.push_back('-');
+  append_decimal(out, part.range.last);
+  out.append(head_suffix_);
+  return out;
+}
+
+std::size_t MultipartLayout::part_at(std::uint64_t offset) const noexcept {
+  // The last start not greater than offset; starts_.front() == 0.
+  const auto it = std::upper_bound(starts_.begin(), starts_.end(), offset);
+  return static_cast<std::size_t>(it - starts_.begin()) - 1;
+}
+
+void MultipartLayout::append_bytes(std::string& out, std::uint64_t offset,
+                                   std::uint64_t length) const {
+  assert(offset + length <= size());
+  // Each part is three regions: head, payload, CRLF; the closing delimiter
+  // follows the last part.
+  const std::uint64_t end = offset + length;
+  for (std::size_t i = part_at(offset); offset < end; ++i) {
+    if (i == parts_.size()) {
+      out.append(closing_, static_cast<std::size_t>(offset - starts_[i]),
+                 static_cast<std::size_t>(end - offset));
+      return;
+    }
+    const MultipartPart& part = parts_[i];
+    const std::uint64_t payload_at = starts_[i] + head_size(part);
+    const std::uint64_t crlf_at = payload_at + part.length;
+    if (offset < payload_at) {
+      const std::uint64_t n = std::min(end, payload_at) - offset;
+      out.append(head(part), static_cast<std::size_t>(offset - starts_[i]),
+                 static_cast<std::size_t>(n));
+      offset += n;
+    }
+    if (offset < end && offset < crlf_at) {
+      const std::uint64_t n = std::min(end, crlf_at) - offset;
+      source_.slice(part.source_offset + (offset - payload_at), n)
+          .materialize_into(out);
+      offset += n;
+    }
+    if (offset < end) {
+      const std::uint64_t n = std::min(end, starts_[i + 1]) - offset;
+      out.append(kCrlf.substr(static_cast<std::size_t>(offset - crlf_at),
+                              static_cast<std::size_t>(n)));
+      offset += n;
+    }
+  }
+}
+
+std::uint8_t MultipartLayout::byte_at(std::uint64_t offset) const {
+  assert(offset < size());
+  const std::size_t i = part_at(offset);
+  std::uint64_t at = offset - starts_[i];
+  if (i == parts_.size()) return static_cast<std::uint8_t>(closing_[at]);
+  const MultipartPart& part = parts_[i];
+  const std::uint64_t head_len = head_size(part);
+  if (at < head_len) {
+    return static_cast<std::uint8_t>(head(part)[static_cast<std::size_t>(at)]);
+  }
+  at -= head_len;
+  if (at < part.length) return source_.at(part.source_offset + at);
+  return static_cast<std::uint8_t>(kCrlf[static_cast<std::size_t>(at - part.length)]);
+}
+
+Body build_multipart_byteranges(const MultipartFraming& framing,
+                                std::uint64_t resource_size, Body source,
+                                std::vector<MultipartPart> parts) {
+  return Body::multipart(std::make_shared<const MultipartLayout>(
+      framing, resource_size, std::move(source), std::move(parts)));
+}
+
 Body build_multipart_byteranges(const Body& entity,
                                 const std::vector<ResolvedRange>& ranges,
                                 std::uint64_t resource_size,
                                 std::string_view content_type,
                                 std::string_view boundary) {
   assert(entity.size() == resource_size);
-  Body body;
-  for (const auto& r : ranges) {
-    body.append_literal(part_header(r, resource_size, content_type, boundary));
-    body.append_body(entity.slice(r.first, r.length()));
-    body.append_literal("\r\n");
-  }
-  body.append_literal(closing_delimiter(boundary));
-  return body;
+  std::vector<MultipartPart> parts;
+  parts.reserve(ranges.size());
+  for (const auto& r : ranges) parts.push_back({r, r.first, r.length()});
+  return build_multipart_byteranges({boundary, content_type}, resource_size,
+                                    entity, std::move(parts));
 }
 
 std::uint64_t multipart_byteranges_size(const std::vector<ResolvedRange>& ranges,
                                         std::uint64_t resource_size,
                                         std::string_view content_type,
                                         std::string_view boundary) {
-  std::uint64_t total = 0;
+  const std::size_t fixed = head_prefix({boundary, content_type}).size() +
+                            head_suffix(resource_size).size();
+  std::uint64_t total = closing_delimiter(boundary).size();
   for (const auto& r : ranges) {
-    total += part_header(r, resource_size, content_type, boundary).size();
-    total += r.length();
-    total += 2;  // CRLF after payload
+    total += part_head_size(fixed, r) + part_tail_size(r.length());
   }
-  total += closing_delimiter(boundary).size();
   return total;
 }
 

@@ -6,10 +6,14 @@
 namespace rangeamp::http {
 namespace {
 
-// Trims optional whitespace (RFC 7230 OWS: SP / HTAB) from both ends.
+// RFC 7230 OWS: SP / HTAB.
+bool is_ows(char c) noexcept { return c == ' ' || c == '\t'; }
+bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
+
+// Trims optional whitespace from both ends.
 std::string_view trim_ows(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
+  while (!s.empty() && is_ows(s.front())) s.remove_prefix(1);
+  while (!s.empty() && is_ows(s.back())) s.remove_suffix(1);
   return s;
 }
 
@@ -21,43 +25,57 @@ std::optional<std::uint64_t> parse_pos(std::string_view s) {
   return v;
 }
 
-// Parses one byte-range-spec / suffix-byte-range-spec.
-std::optional<ByteRangeSpec> parse_spec(std::string_view s) {
-  s = trim_ows(s);
-  const auto dash = s.find('-');
-  if (dash == std::string_view::npos) return std::nullopt;
-  const std::string_view before = s.substr(0, dash);
-  const std::string_view after = s.substr(dash + 1);
+// Parses 1*DIGIT at `p` into `v` and advances `p` past it.  False when no
+// digit is there or the value does not fit 64 bits.
+bool parse_digits(const char*& p, const char* end, std::uint64_t& v) {
+  const auto [ptr, ec] = std::from_chars(p, end, v);
+  if (ec != std::errc{}) return false;
+  p = ptr;
+  return true;
+}
 
-  if (before.empty()) {
-    // suffix-byte-range-spec: "-suffix"
-    const auto suffix = parse_pos(after);
-    if (!suffix) return std::nullopt;
-    return ByteRangeSpec::suffix_of(*suffix);
+// Length of ByteRangeSpec::to_string().
+std::size_t spelled_size(const ByteRangeSpec& spec) noexcept {
+  if (spec.is_suffix()) return 1 + decimal_digits(*spec.suffix);
+  return decimal_digits(*spec.first) + 1 + (spec.last ? decimal_digits(*spec.last) : 0);
+}
+
+// Appends ByteRangeSpec::to_string() to `out`.
+void append_spec(std::string& out, const ByteRangeSpec& spec) {
+  if (spec.is_suffix()) {
+    out.push_back('-');
+    append_decimal(out, *spec.suffix);
+    return;
   }
-  const auto first = parse_pos(before);
-  if (!first) return std::nullopt;
-  if (after.empty()) return ByteRangeSpec::open(*first);
-  const auto last = parse_pos(after);
-  if (!last) return std::nullopt;
-  if (*last < *first) return std::nullopt;  // RFC 7233 §2.1: invalid spec
-  return ByteRangeSpec::closed(*first, *last);
+  append_decimal(out, *spec.first);
+  out.push_back('-');
+  if (spec.last) append_decimal(out, *spec.last);
 }
 
 }  // namespace
 
+void append_decimal(std::string& out, std::uint64_t v) {
+  char digits[20];
+  const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), v);
+  out.append(digits, end);
+}
+
 std::string ByteRangeSpec::to_string() const {
-  if (is_suffix()) return "-" + std::to_string(*suffix);
-  std::string out = std::to_string(*first) + "-";
-  if (last) out += std::to_string(*last);
+  std::string out;
+  append_spec(out, *this);
   return out;
 }
 
 std::string RangeSet::to_string() const {
-  std::string out = "bytes=";
+  constexpr std::string_view kUnit = "bytes=";
+  std::size_t size = kUnit.size() + (specs.empty() ? 0 : specs.size() - 1);
+  for (const auto& spec : specs) size += spelled_size(spec);
+  std::string out;
+  out.reserve(size);
+  out.append(kUnit);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (i) out.push_back(',');
-    out += specs[i].to_string();
+    append_spec(out, specs[i]);
   }
   return out;
 }
@@ -78,23 +96,38 @@ std::optional<RangeSet> parse_range_header(std::string_view value,
                        : value[i];
     if (a != kUnit[i]) return std::nullopt;
   }
-  value.remove_prefix(kUnit.size());
+  const char* p = value.data() + kUnit.size();
+  const char* const end = value.data() + value.size();
 
   RangeSet set;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const auto comma = value.find(',', start);
-    const std::string_view piece =
-        value.substr(start, comma == std::string_view::npos ? std::string_view::npos
-                                                            : comma - start);
+  set.specs.reserve(static_cast<std::size_t>(std::count(p, end, ',')) + 1);
+  while (true) {
+    while (p != end && is_ows(*p)) ++p;
     // RFC 7230 #rule allows empty list elements; skip them.
-    if (!trim_ows(piece).empty()) {
-      auto spec = parse_spec(piece);
-      if (!spec) return std::nullopt;
-      set.specs.push_back(*spec);
+    if (p != end && *p != ',') {
+      // Filled in place: copying a spec of three optionals costs more than
+      // parsing it.
+      ByteRangeSpec& spec = set.specs.emplace_back();
+      std::uint64_t v = 0;
+      if (*p == '-') {  // suffix-byte-range-spec: "-suffix"
+        ++p;
+        if (!parse_digits(p, end, v)) return std::nullopt;
+        spec.suffix = v;
+      } else {
+        if (!parse_digits(p, end, v) || p == end || *p != '-') return std::nullopt;
+        ++p;
+        spec.first = v;
+        if (p != end && is_digit(*p)) {
+          if (!parse_digits(p, end, v)) return std::nullopt;
+          if (v < *spec.first) return std::nullopt;  // RFC 7233 §2.1: invalid spec
+          spec.last = v;
+        }
+      }
+      while (p != end && is_ows(*p)) ++p;
     }
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
+    if (p == end) break;
+    if (*p != ',') return std::nullopt;
+    ++p;
   }
   if (set.specs.empty()) return std::nullopt;  // byte-range-set is 1#(...)
   return set;

@@ -21,6 +21,19 @@
 
 namespace rangeamp::http {
 
+/// Number of decimal digits in `v` ("0" has one).
+constexpr std::size_t decimal_digits(std::uint64_t v) noexcept {
+  std::size_t n = 1;
+  while (v >= 10) {
+    v /= 10;
+    ++n;
+  }
+  return n;
+}
+
+/// Appends the decimal spelling of `v` to `out` (the std::to_string text).
+void append_decimal(std::string& out, std::uint64_t v);
+
 /// One element of a byte-range-set.
 ///
 /// Exactly one of the three RFC 7233 spellings:
@@ -94,7 +107,9 @@ inline constexpr std::size_t kMaxRangeHeaderBytes = 256 * 1024;
 /// non-numeric positions, ...).  Per the RFC, a recipient MUST ignore a
 /// malformed Range header, so callers treat nullopt as "no Range".
 /// Values longer than `max_value_bytes` are rejected without being parsed
-/// (0 disables the guard).
+/// (0 disables the guard).  One pass over the value: OWS around list
+/// elements is skipped, empty elements are ignored, positions are plain
+/// decimal digits that fit 64 bits.
 std::optional<RangeSet> parse_range_header(
     std::string_view value, std::size_t max_value_bytes = kMaxRangeHeaderBytes);
 

@@ -44,6 +44,9 @@ class TrafficRecorder {
   /// Enables/disables retention of per-exchange records (counters always
   /// accumulate).  Scanners enable it; long benchmark sweeps leave it off.
   void set_keep_log(bool keep) { keep_log_ = keep; }
+  /// True when record() keeps the per-exchange log.  Transports fill the
+  /// record's target and Range strings only then.
+  bool keep_log() const noexcept { return keep_log_; }
 
   void reset() {
     totals_ = {};

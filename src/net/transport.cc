@@ -21,8 +21,12 @@ ExchangeScope::ExchangeScope(Transport& transport, const http::Request& request,
       span_.note("range", *range);
     }
   }
-  record.target = request.target;
-  record.range_header = std::string{request.headers.get_or("Range", "")};
+  // The strings only matter to a retained log; copying a 32 KB OBR Range
+  // header per hop into a record that is dropped would be pure waste.
+  if (transport.recorder().keep_log()) {
+    record.target = request.target;
+    record.range_header = std::string{request.headers.get_or("Range", "")};
+  }
 }
 
 void ExchangeScope::finish() {

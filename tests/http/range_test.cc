@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
+
+#include "http/generator.h"
+
 namespace rangeamp::http {
 namespace {
 
@@ -329,6 +333,186 @@ TEST_P(ResolveProperty, CoalesceIsIdempotentAndConserving) {
 INSTANTIATE_TEST_SUITE_P(Sizes, ResolveProperty,
                          ::testing::Values(1, 2, 3, 16, 100, 1024, 65537,
                                            1u << 20, 26214400));
+
+
+// ---------------------------------------------------------------------------
+// Codec property: the one-pass parser and the to_chars spelling against the
+// split/trim/substr parser and std::to_string spelling they replaced.
+// ---------------------------------------------------------------------------
+
+namespace reference {
+
+std::string_view trim_ows(std::string_view s) {
+  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
+  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
+  return s;
+}
+
+std::optional<std::uint64_t> parse_pos(std::string_view s) {
+  if (s.empty()) return std::nullopt;
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
+std::optional<ByteRangeSpec> parse_spec(std::string_view s) {
+  s = trim_ows(s);
+  const auto dash = s.find('-');
+  if (dash == std::string_view::npos) return std::nullopt;
+  const std::string_view before = s.substr(0, dash);
+  const std::string_view after = s.substr(dash + 1);
+  if (before.empty()) {
+    const auto suffix = parse_pos(after);
+    if (!suffix) return std::nullopt;
+    return ByteRangeSpec::suffix_of(*suffix);
+  }
+  const auto first = parse_pos(before);
+  if (!first) return std::nullopt;
+  if (after.empty()) return ByteRangeSpec::open(*first);
+  const auto last = parse_pos(after);
+  if (!last || *last < *first) return std::nullopt;
+  return ByteRangeSpec::closed(*first, *last);
+}
+
+std::optional<RangeSet> parse(std::string_view value) {
+  if (value.size() > kMaxRangeHeaderBytes) return std::nullopt;
+  value = trim_ows(value);
+  constexpr std::string_view kUnit = "bytes=";
+  if (value.size() <= kUnit.size()) return std::nullopt;
+  for (std::size_t i = 0; i < kUnit.size(); ++i) {
+    const char a = value[i] >= 'A' && value[i] <= 'Z'
+                       ? static_cast<char>(value[i] - 'A' + 'a')
+                       : value[i];
+    if (a != kUnit[i]) return std::nullopt;
+  }
+  value.remove_prefix(kUnit.size());
+  RangeSet set;
+  std::size_t start = 0;
+  while (start <= value.size()) {
+    const auto comma = value.find(',', start);
+    const std::string_view piece = value.substr(
+        start, comma == std::string_view::npos ? std::string_view::npos : comma - start);
+    if (!trim_ows(piece).empty()) {
+      auto spec = parse_spec(piece);
+      if (!spec) return std::nullopt;
+      set.specs.push_back(*spec);
+    }
+    if (comma == std::string_view::npos) break;
+    start = comma + 1;
+  }
+  if (set.specs.empty()) return std::nullopt;
+  return set;
+}
+
+std::string spell(const RangeSet& set) {
+  std::string out = "bytes=";
+  for (std::size_t i = 0; i < set.specs.size(); ++i) {
+    const ByteRangeSpec& s = set.specs[i];
+    if (i) out.push_back(',');
+    if (s.is_suffix()) {
+      out += "-" + std::to_string(*s.suffix);
+    } else {
+      out += std::to_string(*s.first) + "-";
+      if (s.last) out += std::to_string(*s.last);
+    }
+  }
+  return out;
+}
+
+}  // namespace reference
+
+// Edits aimed at the grammar's edges: OWS, empty elements, stray '-', digits
+// past 2^64, '+' signs, junk, case, and plain byte damage.
+std::string mutate_range(Rng& rng, std::string value) {
+  static const std::vector<std::string> kInserts{
+      " ", "\t", ",", ",,", " , ", "-", "--", "+5", "+", "18446744073709551615",
+      "18446744073709551616", "99999999999999999999999", "0", "x", ";", "\r\n",
+      "=", "bytes=", "\xff"};
+  switch (rng.below(6)) {
+    case 0: {  // insert a grammar-edge token anywhere
+      const std::string& token = kInserts[static_cast<std::size_t>(rng.below(kInserts.size()))];
+      value.insert(static_cast<std::size_t>(rng.below(value.size() + 1)), token);
+      break;
+    }
+    case 1:  // trailing junk
+      value += kInserts[static_cast<std::size_t>(rng.below(kInserts.size()))];
+      break;
+    case 2:  // delete a byte
+      if (!value.empty()) value.erase(static_cast<std::size_t>(rng.below(value.size())), 1);
+      break;
+    case 3:  // flip a byte to anything
+      if (!value.empty()) {
+        value[static_cast<std::size_t>(rng.below(value.size()))] =
+            static_cast<char>(rng.below(256));
+      }
+      break;
+    case 4:  // truncate
+      value.resize(static_cast<std::size_t>(rng.below(value.size() + 1)));
+      break;
+    default:  // change the unit's case
+      for (std::size_t i = 0; i < std::min<std::size_t>(6, value.size()); ++i) {
+        if (rng.chance(0.5) && value[i] >= 'a' && value[i] <= 'z') value[i] -= 32;
+      }
+      break;
+  }
+  return value;
+}
+
+TEST(RangeCodecProperty, AgreesWithReferenceOnGeneratedAndMutatedHeaders) {
+  Rng rng{0x5eed2020};
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const auto generated =
+        generate_range(rng, static_cast<RangeShape>(rng.below(7)),
+                       rng.chance(0.5) ? 1 << 20 : 26214400);
+    // The canonical spelling is byte for byte the std::to_string one:
+    // forwarded Range headers are counted bytes.
+    const std::string spelled = generated.set.to_string();
+    ASSERT_EQ(spelled, reference::spell(generated.set));
+
+    std::string value = spelled;
+    const int mutations = static_cast<int>(rng.below(4));
+    for (int m = 0; m < mutations; ++m) value = mutate_range(rng, value);
+    SCOPED_TRACE(value);
+    const auto parsed = parse_range_header(value);
+    const auto expected = reference::parse(value);
+    ASSERT_EQ(parsed.has_value(), expected.has_value());
+    if (!parsed) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(*parsed, *expected);
+    ASSERT_EQ(parsed->to_string(), reference::spell(*parsed));
+    const auto again = parse_range_header(parsed->to_string());
+    ASSERT_TRUE(again);
+    ASSERT_EQ(*again, *parsed);
+  }
+  // Both verdicts are well represented.
+  EXPECT_GT(accepted, 5000u);
+  EXPECT_GT(rejected, 2000u);
+}
+
+TEST(RangeCodecProperty, GrammarEdgesMatchReference) {
+  for (const std::string_view value :
+       {"bytes=0-1", "bytes= 0-1 ", "\tbytes=0-1\t", "BYTES=0-", "bytes=,,0-1,,",
+        "bytes= , ", "bytes=", "bytes=-", "bytes=--5", "bytes=5--6", "bytes=5- 6",
+        "bytes=5 -6", "bytes=+5-6", "bytes=5-+6", "bytes=-+5", "bytes=0-1x",
+        "bytes=0-1,x", "bytes=18446744073709551615-", "bytes=18446744073709551616-",
+        "bytes=0-18446744073709551616", "bytes=-99999999999999999999",
+        "bytes=6-5", "bytes=5-5", "bytes=007-8", "bytes=0x5-6", "bytes=0-1;",
+        "bytes=1-2-3", "bytes=5", "bytes=\r0-1", "bytes=0-1,\t-5\t,9-"}) {
+    SCOPED_TRACE(value);
+    const auto parsed = parse_range_header(value);
+    const auto expected = reference::parse(value);
+    ASSERT_EQ(parsed.has_value(), expected.has_value());
+    if (parsed) {
+      EXPECT_EQ(*parsed, *expected);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace rangeamp::http

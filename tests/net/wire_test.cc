@@ -118,6 +118,24 @@ TEST(Wire, RecorderResetAndLogToggle) {
   EXPECT_EQ(rec.exchange_count(), 0u);
 }
 
+TEST(Wire, LogToggledBackOnRecordsTargetAndRange) {
+  // Records skip their strings while the log is off; once it is back on,
+  // the retained record carries both again.
+  StubHandler stub(canned(10));
+  TrafficRecorder rec;
+  Wire wire(rec, stub);
+  Request req = http::make_get("h", "/r");
+  req.headers.add("Range", "bytes=0-,0-,0-");
+  rec.set_keep_log(false);
+  wire.transfer(req);
+  rec.set_keep_log(true);
+  wire.transfer(req);
+  EXPECT_EQ(rec.exchange_count(), 2u);
+  ASSERT_EQ(rec.log().size(), 1u);
+  EXPECT_EQ(rec.log()[0].target, "/r");
+  EXPECT_EQ(rec.log()[0].range_header, "bytes=0-,0-,0-");
+}
+
 TEST(WireHandler, ComposesAsHandler) {
   StubHandler stub(canned(10));
   TrafficRecorder inner_rec("inner");
