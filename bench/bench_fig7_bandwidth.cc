@@ -4,7 +4,7 @@
 //
 // The per-request byte costs are measured on the same Cloudflare-profile
 // testbed the paper used (10 MB target resource); the time domain comes from
-// the fluid-flow bandwidth simulator.
+// the processor-sharing uplink model (sim/attack_load.h).
 // Observability (both OFF by default; neither changes a single CSV byte):
 //   RANGEAMP_TRACE=1    trace the per-request cost measurement, write
 //                       fig7_trace.jsonl,
@@ -17,7 +17,6 @@
 #include "core/rangeamp.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/des.h"
 
 using namespace rangeamp;
 
@@ -105,21 +104,5 @@ int main() {
                 registry.sample_count());
   }
 
-  // Cross-validation: the exact event-driven engine must agree with the
-  // fluid integration (tests/sim/des_test.cc pins this; shown here for the
-  // record).
-  for (const int m : {8, 12}) {
-    sim::AttackLoadConfig config;
-    config.requests_per_second = m;
-    config.origin_response_bytes = unit.origin_response_bytes;
-    config.client_response_bytes = unit.client_response_bytes;
-    const auto fluid = sim::summarize(config, sim::simulate_attack_load(config));
-    const auto des = sim::summarize(config, sim::simulate_attack_load_des(config));
-    std::printf("engine cross-check m=%-2d: fluid %.1f Mbps vs "
-                "discrete-event %.1f Mbps (%+.2f%%)\n",
-                m, fluid.mean_origin_out_mbps, des.mean_origin_out_mbps,
-                100.0 * (des.mean_origin_out_mbps - fluid.mean_origin_out_mbps) /
-                    fluid.mean_origin_out_mbps);
-  }
   return 0;
 }

@@ -6,7 +6,6 @@
 #include "core/rangeamp.h"
 #include "http/date.h"
 #include "http2/hpack.h"
-#include "sim/des.h"
 
 using namespace rangeamp;
 
@@ -142,7 +141,8 @@ void BM_HttpDateParse(benchmark::State& state) {
 }
 BENCHMARK(BM_HttpDateParse);
 
-void BM_AttackLoadFluid(benchmark::State& state) {
+// Fig 7 at the knee: m = 12 x 10 MB pulls per second, 30 s + 10 s drain.
+void BM_AttackLoad(benchmark::State& state) {
   sim::AttackLoadConfig config;
   config.requests_per_second = 12;
   config.origin_response_bytes = 10'486'029;
@@ -152,19 +152,22 @@ void BM_AttackLoadFluid(benchmark::State& state) {
     benchmark::DoNotOptimize(series);
   }
 }
-BENCHMARK(BM_AttackLoadFluid);
+BENCHMARK(BM_AttackLoad);
 
-void BM_AttackLoadDes(benchmark::State& state) {
+// The sbr_flood projection's shape: 2000 req/s x 65,800 B for 10 s, just
+// past the 1000 Mbps knee, so thousands of flows share the link at once.
+void BM_AttackLoadSaturated(benchmark::State& state) {
   sim::AttackLoadConfig config;
-  config.requests_per_second = 12;
-  config.origin_response_bytes = 10'486'029;
-  config.client_response_bytes = 822;
+  config.requests_per_second = 2000;
+  config.duration_s = 10;
+  config.origin_response_bytes = 65'800;
+  config.client_response_bytes = 800;
   for (auto _ : state) {
-    auto series = sim::simulate_attack_load_des(config);
+    auto series = sim::simulate_attack_load(config);
     benchmark::DoNotOptimize(series);
   }
 }
-BENCHMARK(BM_AttackLoadDes);
+BENCHMARK(BM_AttackLoadSaturated)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -30,7 +30,7 @@
 #include "core/rangeamp.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/des.h"
+#include "sim/attack_load.h"
 
 using namespace rangeamp;
 

@@ -41,7 +41,7 @@
 
 #include "core/rangeamp.h"
 #include "obs/metrics.h"
-#include "sim/des.h"
+#include "sim/attack_load.h"
 
 using namespace rangeamp;
 

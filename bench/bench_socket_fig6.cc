@@ -5,7 +5,7 @@
 // (bench_table4_fig6_sbr_amplification).  This bench re-runs the 10 MB
 // Fig 6a row with every HTTP/1.1 segment on real sockets -- one connection
 // per exchange through net::SocketTransport -- and checks that the
-// wall-clock backend agrees with the fluid model: the measured
+// wall-clock backend agrees with the in-memory model: the measured
 // amplification factor must land within 20% of the in-memory reference for
 // every vendor (exit 1 otherwise).  In practice the two agree exactly,
 // because both backends count serialized bytes; the tolerance absorbs any

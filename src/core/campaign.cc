@@ -12,7 +12,6 @@
 #include "core/sbr.h"
 #include "core/testbed.h"
 #include "http/generator.h"
-#include "sim/des.h"
 
 namespace rangeamp::core {
 namespace {
@@ -274,7 +273,7 @@ SbrCampaignResult run_sbr_campaign(const SbrCampaignConfig& config,
   result.detector_alarmed = detector.alarmed();
   result.detector_stats = detector.stats();
 
-  // Project onto the fluid link for the time series: per-request byte costs
+  // Project onto the origin uplink for the time series: per-request byte costs
   // are the campaign averages.
   sim::AttackLoadConfig load;
   load.origin_uplink_mbps = config.origin_uplink_mbps;

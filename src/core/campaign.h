@@ -4,8 +4,8 @@
 // requests per second, sustained, spread across ingress nodes.  This module
 // drives such campaigns end-to-end against an EdgeCluster -- rotating
 // cache-busting queries, feeding every exchange to the RangeAmpDetector,
-// and projecting the byte totals onto the fluid bandwidth simulator for the
-// Fig 7 time series.
+// and projecting the byte totals onto the processor-sharing uplink model
+// (sim/attack_load.h) for the Fig 7 time series.
 //
 // It also generates a realistic benign workload (cache-friendly page loads,
 // resume-from-offset downloads, multi-threaded segment fetches) used to

@@ -7,7 +7,7 @@
 //   * byte-exact per-segment traffic accounting (net/),
 //   * an Apache-flavored origin server model (origin/),
 //   * a CDN node simulator with 13 calibrated vendor profiles (cdn/),
-//   * a fluid-flow bandwidth simulator (sim/),
+//   * a processor-sharing bandwidth simulator (sim/),
 //   * and the RangeAmp toolkit itself: policy scanners, SBR/OBR attack
 //     planners and executors, and mitigations (core/).
 //

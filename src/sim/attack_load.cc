@@ -2,68 +2,129 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 #include <unordered_set>
+
+#include "sim/des.h"
 
 namespace rangeamp::sim {
 
-std::vector<BandwidthSample> simulate_attack_load(const AttackLoadConfig& config) {
-  const double capacity_bps = config.origin_uplink_mbps * 1e6 / 8.0;  // bytes/s
-  FluidLink uplink(capacity_bps);
+ShieldedLoadResult simulate_attack_load_shielded(const ShieldedLoadConfig& config) {
+  const AttackLoadConfig& base = config.base;
+  const double capacity = base.origin_uplink_mbps * 1e6 / 8.0;  // bytes/s
+  const std::size_t seconds =
+      static_cast<std::size_t>(std::ceil(base.duration_s + base.drain_s));
 
-  const double horizon = config.duration_s + config.drain_s;
-  const std::size_t seconds = static_cast<std::size_t>(std::ceil(horizon));
-  std::vector<BandwidthSample> series(seconds);
-  for (std::size_t s = 0; s < seconds; ++s) series[s].second = static_cast<double>(s);
-
-  double next_burst = 0;
-  double prev_transferred = 0;
-  std::unordered_set<std::uint64_t> benign_ids;
-  for (std::size_t s = 0; s < seconds; ++s) {
-    double origin_bytes_this_second = 0;
-    double client_bytes_this_second = 0;
-    double benign_bytes_this_second = 0;
-    double benign_latency_sum = 0;
+  ShieldedLoadResult result;
+  result.series.resize(seconds);
+  // Completions and local answers, by the second they land in.
+  struct Tally {
+    double client_bytes = 0;
+    double benign_bytes = 0;
+    double benign_latency = 0;
     std::size_t benign_completions = 0;
-    const double sec_end = static_cast<double>(s) + 1.0;
-    while (uplink.now() < sec_end - 1e-9) {
-      if (uplink.now() + 1e-9 >= next_burst && next_burst < config.duration_s) {
-        for (int i = 0; i < config.requests_per_second; ++i) {
-          uplink.start_flow(config.origin_response_bytes);
-        }
-        for (int i = 0; i < config.benign_requests_per_second; ++i) {
-          benign_ids.insert(uplink.start_flow(config.benign_response_bytes));
-        }
-        next_burst += 1.0;
-      }
-      const double until_burst =
-          next_burst < config.duration_s ? next_burst - uplink.now() : horizon;
-      const double dt =
-          std::min({config.dt, sec_end - uplink.now(), std::max(until_burst, 1e-9)});
-      uplink.step(dt);
-      for (const Flow& f : uplink.take_completed()) {
-        if (const auto it = benign_ids.find(f.id); it != benign_ids.end()) {
-          benign_ids.erase(it);
-          benign_bytes_this_second += static_cast<double>(f.total_bytes);
-          benign_latency_sum +=
-              f.completion_time - f.start_time + config.network_rtt_s;
-          ++benign_completions;
-          continue;
-        }
-        // The CDN forwards the tiny 206 to the client once its back-to-origin
-        // pull finishes.
-        client_bytes_this_second += static_cast<double>(config.client_response_bytes);
-      }
+  };
+  std::vector<Tally> tallies(seconds);
+
+  // Every lambda below captures this frame by reference; the event loop
+  // ends before it returns.
+  EventQueue queue;
+  const auto tally_now = [&]() -> Tally& {
+    return tallies[static_cast<std::size_t>(queue.now())];
+  };
+  std::unordered_set<std::uint64_t> benign_ids;
+  // Deadline machinery: each admitted flow arms a cancellation event; the
+  // completion handler disarms it (EventQueue::cancel), and a firing event
+  // cuts the flow (PsLink::cancel_flow).
+  std::unordered_map<std::uint64_t, EventQueue::EventId> deadline_events;
+
+  PsLink link(queue, capacity, [&](std::uint64_t id, std::uint64_t, double start) {
+    Tally& tally = tally_now();
+    if (benign_ids.erase(id)) {
+      tally.benign_bytes += static_cast<double>(base.benign_response_bytes);
+      tally.benign_latency += queue.now() - start + base.network_rtt_s;
+      ++tally.benign_completions;
+      return;
     }
-    series[s].benign_goodput_mbps = benign_bytes_this_second * 8.0 / 1e6;
-    series[s].benign_latency_s =
-        benign_completions ? benign_latency_sum / benign_completions : -1;
-    origin_bytes_this_second = uplink.total_transferred() - prev_transferred;
-    prev_transferred = uplink.total_transferred();
-    series[s].origin_out_mbps = origin_bytes_this_second * 8.0 / 1e6;
-    series[s].client_in_kbps = client_bytes_this_second * 8.0 / 1e3;
-    series[s].in_flight = uplink.active_flows();
+    if (const auto armed = deadline_events.find(id); armed != deadline_events.end()) {
+      queue.cancel(armed->second);
+      deadline_events.erase(armed);
+    }
+    // An origin flow completing also completes the client-facing 206.
+    tally.client_bytes += static_cast<double>(base.client_response_bytes);
+  });
+
+  // Samples go in first so that each runs before anything else scheduled
+  // for its instant: second s is read at s+1, before that second's arrivals.
+  double sampled_bytes = 0;
+  for (std::size_t s = 0; s < seconds; ++s) {
+    queue.schedule(static_cast<double>(s + 1), [&, s] {
+      const double moved = link.moved_bytes();
+      result.series[s].origin_out_mbps = (moved - sampled_bytes) * 8.0 / 1e6;
+      result.series[s].in_flight = link.active_flows();
+      sampled_bytes = moved;
+    });
   }
-  return series;
+
+  const auto start_origin_flow = [&] {
+    ++result.origin_fetches;
+    const std::uint64_t flow_id = link.start_flow(base.origin_response_bytes);
+    if (config.deadline_seconds <= 0 || base.origin_response_bytes == 0) return;
+    deadline_events[flow_id] = queue.schedule_in(config.deadline_seconds, [&, flow_id] {
+      deadline_events.erase(flow_id);
+      if (link.cancel_flow(flow_id)) {
+        ++result.deadline_cancelled;
+        // The client leg is abandoned: a 504 the size of the shed response,
+        // not a 206.
+        tally_now().client_bytes += static_cast<double>(config.shed_response_bytes);
+      }
+    });
+  };
+  const int group = std::max(1, config.same_key_burst);
+  for (int second = 0; second < base.duration_s; ++second) {
+    queue.schedule(second, [&] {
+      for (int i = 0; i < base.requests_per_second; ++i) {
+        if (config.coalesce && i % group != 0) {
+          // Follower of this second's key group: answered from the leader's
+          // fill, no origin flow.  The client still gets its tiny 206 now.
+          ++result.coalesced;
+          tally_now().client_bytes += static_cast<double>(base.client_response_bytes);
+        } else if (config.max_pending != 0 && link.active_flows() >= config.max_pending) {
+          ++result.shed;
+          tally_now().client_bytes += static_cast<double>(config.shed_response_bytes);
+        } else {
+          start_origin_flow();
+        }
+      }
+      for (int i = 0; i < base.benign_requests_per_second; ++i) {
+        benign_ids.insert(link.start_flow(base.benign_response_bytes));
+      }
+    });
+  }
+
+  // The last sample is the first event at t = seconds, so the run stops
+  // right after it; later completions fall outside the series.
+  const double end = static_cast<double>(seconds);
+  while (queue.run_next() && queue.now() < end) {
+  }
+
+  for (std::size_t s = 0; s < seconds; ++s) {
+    BandwidthSample& sample = result.series[s];
+    const Tally& tally = tallies[s];
+    sample.second = static_cast<double>(s);
+    sample.client_in_kbps = tally.client_bytes * 8.0 / 1e3;
+    sample.benign_goodput_mbps = tally.benign_bytes * 8.0 / 1e6;
+    sample.benign_latency_s =
+        tally.benign_completions
+            ? tally.benign_latency / static_cast<double>(tally.benign_completions)
+            : -1;
+  }
+  result.cancelled_origin_bytes = link.cancelled_bytes();
+  return result;
+}
+
+std::vector<BandwidthSample> simulate_attack_load(const AttackLoadConfig& config) {
+  return simulate_attack_load_shielded({.base = config}).series;
 }
 
 AttackLoadSummary summarize(const AttackLoadConfig& config,

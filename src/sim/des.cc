@@ -1,9 +1,6 @@
 #include "sim/des.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace rangeamp::sim {
 
@@ -90,7 +87,9 @@ void PsLink::advance_to_now() {
   if (dt > 0 && !flows_.empty()) {
     const double share = capacity_ / static_cast<double>(flows_.size());
     for (PsFlow& f : flows_) {
-      f.remaining = std::max(0.0, f.remaining - share * dt);
+      const double moved = std::min(share * dt, f.remaining);
+      f.remaining -= moved;
+      moved_bytes_ += moved;
     }
   }
   last_update_ = now;
@@ -107,16 +106,15 @@ void PsLink::arm_next_completion() {
   queue_->schedule(eta, [this, generation] {
     if (generation != arm_generation_) return;  // superseded by a newer arm
     advance_to_now();
-    // Retire every flow that is (numerically) done.
+    // Retire every flow that is (numerically) done, in start order, in one
+    // pass: flows of one burst and size finish together.
     std::vector<PsFlow> done;
-    for (auto it = flows_.begin(); it != flows_.end();) {
-      if (it->remaining <= 1e-6) {
-        done.push_back(*it);
-        it = flows_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(flows_, [&](const PsFlow& f) {
+      if (f.remaining > 1e-6) return false;
+      moved_bytes_ += f.remaining;  // floating-point dust
+      done.push_back(f);
+      return true;
+    });
     for (const PsFlow& f : done) {
       completed_bytes_ += f.total;
       if (on_completion_) {
@@ -125,197 +123,6 @@ void PsLink::arm_next_completion() {
     }
     arm_next_completion();
   });
-}
-
-std::vector<BandwidthSample> simulate_attack_load_des(
-    const AttackLoadConfig& config) {
-  const double capacity = config.origin_uplink_mbps * 1e6 / 8.0;
-  const double horizon = config.duration_s + config.drain_s;
-  const std::size_t seconds = static_cast<std::size_t>(std::ceil(horizon));
-  std::vector<BandwidthSample> series(seconds);
-  for (std::size_t s = 0; s < seconds; ++s) series[s].second = static_cast<double>(s);
-
-  EventQueue queue;
-  // Per-flow byte sizes, and classification of benign flows.
-  std::unordered_set<std::uint64_t> benign_ids;
-  struct Tally {
-    double client_bytes = 0;
-    double benign_bytes = 0;
-    double benign_latency = 0;
-    std::size_t benign_completions = 0;
-  };
-  std::vector<Tally> tallies(seconds);
-  const auto bucket_of = [&](double t) {
-    return std::min(seconds - 1, static_cast<std::size_t>(t));
-  };
-
-  PsLink* link_ptr = nullptr;
-  PsLink link(queue, capacity, [&](std::uint64_t id, std::uint64_t, double start) {
-    Tally& tally = tallies[bucket_of(queue.now())];
-    if (benign_ids.erase(id)) {
-      tally.benign_bytes += static_cast<double>(config.benign_response_bytes);
-      tally.benign_latency += queue.now() - start + config.network_rtt_s;
-      ++tally.benign_completions;
-    } else {
-      tally.client_bytes += static_cast<double>(config.client_response_bytes);
-    }
-  });
-  link_ptr = &link;
-
-  // Arrival events at whole seconds.
-  for (int burst = 0; burst < static_cast<int>(config.duration_s); ++burst) {
-    queue.schedule(static_cast<double>(burst), [&, burst] {
-      (void)burst;
-      for (int i = 0; i < config.requests_per_second; ++i) {
-        link_ptr->start_flow(config.origin_response_bytes);
-      }
-      for (int i = 0; i < config.benign_requests_per_second; ++i) {
-        benign_ids.insert(link_ptr->start_flow(config.benign_response_bytes));
-      }
-    });
-  }
-  // Per-second sampling of link utilization via completed-byte deltas is not
-  // available from PsLink directly (it tracks remaining); instead sample the
-  // active-flow count at second boundaries and derive utilization: a PS link
-  // moves capacity bytes/second whenever any flow is active.
-  std::vector<std::size_t> active_at_end(seconds, 0);
-  std::vector<double> busy_fraction(seconds, 0);
-  for (std::size_t s = 0; s < seconds; ++s) {
-    queue.schedule(static_cast<double>(s) + 0.999999, [&, s] {
-      active_at_end[s] = link_ptr->active_flows();
-    });
-  }
-  // Busy time needs finer sampling: probe activity on a small grid.
-  constexpr int kProbes = 100;
-  for (std::size_t s = 0; s < seconds; ++s) {
-    for (int p = 0; p < kProbes; ++p) {
-      const double t = static_cast<double>(s) + (p + 0.5) / kProbes;
-      queue.schedule(t, [&, s] {
-        if (link_ptr->active_flows() > 0) {
-          busy_fraction[s] += 1.0 / kProbes;
-        }
-      });
-    }
-  }
-
-  queue.run_until(horizon + 1.0);
-
-  for (std::size_t s = 0; s < seconds; ++s) {
-    series[s].origin_out_mbps = busy_fraction[s] * config.origin_uplink_mbps;
-    series[s].client_in_kbps = tallies[s].client_bytes * 8.0 / 1e3;
-    series[s].in_flight = active_at_end[s];
-    series[s].benign_goodput_mbps = tallies[s].benign_bytes * 8.0 / 1e6;
-    series[s].benign_latency_s =
-        tallies[s].benign_completions
-            ? tallies[s].benign_latency /
-                  static_cast<double>(tallies[s].benign_completions)
-            : -1;
-  }
-  return series;
-}
-
-ShieldedLoadResult simulate_attack_load_shielded(const ShieldedLoadConfig& config) {
-  const AttackLoadConfig& base = config.base;
-  const double capacity = base.origin_uplink_mbps * 1e6 / 8.0;
-  const double horizon = base.duration_s + base.drain_s;
-  const std::size_t seconds = static_cast<std::size_t>(std::ceil(horizon));
-
-  ShieldedLoadResult result;
-  result.series.resize(seconds);
-  for (std::size_t s = 0; s < seconds; ++s) {
-    result.series[s].second = static_cast<double>(s);
-  }
-
-  EventQueue queue;
-  std::vector<double> client_bytes(seconds, 0);
-  const auto bucket_of = [&](double t) {
-    return std::min(seconds - 1, static_cast<std::size_t>(t));
-  };
-
-  // Deadline machinery: each admitted flow arms a cancellation event; the
-  // completion handler disarms it (EventQueue::cancel), and a firing event
-  // cuts the flow (PsLink::cancel_flow).  Declared before the link so the
-  // completion lambda's by-reference capture outlives every event.
-  std::unordered_map<std::uint64_t, EventQueue::EventId> deadline_events;
-
-  PsLink* link_ptr = nullptr;
-  PsLink link(queue, capacity, [&](std::uint64_t id, std::uint64_t, double) {
-    if (config.deadline_seconds > 0) {
-      const auto armed = deadline_events.find(id);
-      if (armed != deadline_events.end()) {
-        queue.cancel(armed->second);
-        deadline_events.erase(armed);
-      }
-    }
-    // An origin flow completing also completes the client-facing 206.
-    client_bytes[bucket_of(queue.now())] +=
-        static_cast<double>(base.client_response_bytes);
-  });
-  link_ptr = &link;
-
-  const int burst = std::max(1, config.same_key_burst);
-  for (int second = 0; second < static_cast<int>(base.duration_s); ++second) {
-    queue.schedule(static_cast<double>(second), [&] {
-      for (int i = 0; i < base.requests_per_second; ++i) {
-        if (config.coalesce && i % burst != 0) {
-          // Follower of this second's key group: answered from the leader's
-          // fill, no origin flow.  The client still gets its tiny 206 now.
-          ++result.coalesced;
-          client_bytes[bucket_of(queue.now())] +=
-              static_cast<double>(base.client_response_bytes);
-          continue;
-        }
-        if (config.max_pending != 0 &&
-            link_ptr->active_flows() >= config.max_pending) {
-          ++result.shed;
-          client_bytes[bucket_of(queue.now())] +=
-              static_cast<double>(config.shed_response_bytes);
-          continue;
-        }
-        ++result.origin_fetches;
-        const std::uint64_t flow_id =
-            link_ptr->start_flow(base.origin_response_bytes);
-        if (config.deadline_seconds > 0 && base.origin_response_bytes > 0) {
-          deadline_events[flow_id] =
-              queue.schedule_in(config.deadline_seconds, [&, flow_id] {
-                deadline_events.erase(flow_id);
-                if (link_ptr->cancel_flow(flow_id)) {
-                  ++result.deadline_cancelled;
-                  // The client leg is abandoned: a 504 the size of the shed
-                  // response, not a 206.
-                  client_bytes[bucket_of(queue.now())] +=
-                      static_cast<double>(config.shed_response_bytes);
-                }
-              });
-        }
-      }
-    });
-  }
-
-  // Same observation grid as the unshielded DES run: active flows at second
-  // boundaries, busy-time probing for utilization.
-  std::vector<std::size_t> active_at_end(seconds, 0);
-  std::vector<double> busy_fraction(seconds, 0);
-  constexpr int kProbes = 100;
-  for (std::size_t s = 0; s < seconds; ++s) {
-    queue.schedule(static_cast<double>(s) + 0.999999,
-                   [&, s] { active_at_end[s] = link_ptr->active_flows(); });
-    for (int p = 0; p < kProbes; ++p) {
-      queue.schedule(static_cast<double>(s) + (p + 0.5) / kProbes, [&, s] {
-        if (link_ptr->active_flows() > 0) busy_fraction[s] += 1.0 / kProbes;
-      });
-    }
-  }
-
-  queue.run_until(horizon + 1.0);
-
-  for (std::size_t s = 0; s < seconds; ++s) {
-    result.series[s].origin_out_mbps = busy_fraction[s] * base.origin_uplink_mbps;
-    result.series[s].client_in_kbps = client_bytes[s] * 8.0 / 1e3;
-    result.series[s].in_flight = active_at_end[s];
-  }
-  result.cancelled_origin_bytes = link.cancelled_bytes();
-  return result;
 }
 
 }  // namespace rangeamp::sim

@@ -1,12 +1,14 @@
 // Discrete-event simulation engine and an exact processor-sharing link.
 //
-// The fluid model in fluid.h integrates with a fixed step; this module
-// computes the same dynamics *exactly*: a processor-sharing (PS) queue's
-// next completion time is analytic (min remaining / fair share), so the
-// simulation can jump from event to event with no integration error.  The
-// attack-load experiment exists in both engines, and
-// `tests/sim/des_test.cc` pins them against each other -- the kind of
-// cross-validation a simulation result needs before it is trusted.
+// Experiment 4 of the paper (Fig 7) is a time-domain measurement: m SBR
+// requests per second against a 1000 Mbps origin uplink, with the origin's
+// outgoing and the client's incoming bandwidth sampled per second.  Byte
+// counts alone cannot show the saturation knee at m ~ 12; a capacity-limited
+// link whose concurrent transfers share the capacity equally can.  A
+// processor-sharing (PS) link's next completion time is analytic (min
+// remaining / fair share), so the simulation jumps from event to event with
+// no integration error.  sim/attack_load.h drives the Fig 7 experiment on
+// this link.
 #pragma once
 
 #include <cstdint>
@@ -14,8 +16,6 @@
 #include <queue>
 #include <unordered_set>
 #include <vector>
-
-#include "sim/attack_load.h"
 
 namespace rangeamp::sim {
 
@@ -92,7 +92,7 @@ class PsLink {
         capacity_(capacity_bytes_per_sec),
         on_completion_(std::move(on_completion)) {}
 
-  /// Starts a flow now; returns its id.
+  /// Starts a flow now; returns its id (unique per link).
   std::uint64_t start_flow(std::uint64_t bytes);
 
   /// Cancels an active flow (deadline expiry): its remaining demand leaves
@@ -110,6 +110,15 @@ class PsLink {
   /// Bytes moved by flows that were cancelled mid-transfer (wasted work the
   /// deadline could not claw back).
   double cancelled_bytes() const noexcept { return cancelled_bytes_; }
+
+  /// Every byte that has crossed the link up to the queue's current time:
+  /// completed, in-flight and cancelled flows alike.  Settles the active
+  /// flows to now first, so the difference of two readings is exactly the
+  /// bytes moved between them.
+  double moved_bytes() {
+    advance_to_now();
+    return moved_bytes_;
+  }
 
  private:
   struct PsFlow {
@@ -129,68 +138,9 @@ class PsLink {
   double last_update_ = 0;
   double completed_bytes_ = 0;
   double cancelled_bytes_ = 0;
+  double moved_bytes_ = 0;
   std::uint64_t next_id_ = 1;
   std::uint64_t arm_generation_ = 0;  ///< invalidates stale completion events
 };
-
-/// The Fig 7 attack-load experiment on the event-driven engine.  Semantics
-/// match simulate_attack_load() exactly; outputs are directly comparable.
-std::vector<BandwidthSample> simulate_attack_load_des(const AttackLoadConfig& config);
-
-/// The Fig 7 experiment with an origin shield in front of the uplink:
-/// request coalescing collapses same-key bursts into one back-to-origin
-/// flow, and admission control sheds arrivals beyond a pending cap.  The
-/// knobs mirror cdn::OriginShieldPolicy so a campaign's shield settings
-/// project directly onto the time series.
-struct ShieldedLoadConfig {
-  AttackLoadConfig base;
-
-  /// How many of each second's arrivals share one cache key (the attacker's
-  /// reuse of a cache-busting URL within a burst).  1 = every arrival has a
-  /// distinct key, so coalescing has nothing to collapse.
-  int same_key_burst = 1;
-
-  /// Fill-lock coalescing on: each key group costs one origin flow; the
-  /// followers are answered from the held fill at no origin cost.
-  bool coalesce = false;
-
-  /// Shed arrivals once this many back-to-origin flows are in flight
-  /// (0 = unlimited).  A shed answer is a local 503, not an origin flow.
-  std::size_t max_pending = 0;
-
-  /// Client-side bytes of a shed 503 (counted into client_in_kbps so the
-  /// attacker's view of a shedding origin stays visible in the series).
-  std::uint64_t shed_response_bytes = 0;
-
-  /// Per-exchange deadline (seconds): an origin flow still in flight this
-  /// long after it started is cancelled -- the projection of
-  /// cdn::DeadlinePolicy onto the PS model (0 = off).  Cancellation frees
-  /// the remaining demand; the bytes already moved stay as wasted work in
-  /// cancelled_origin_bytes.
-  double deadline_seconds = 0;
-};
-
-struct ShieldedLoadResult {
-  std::vector<BandwidthSample> series;
-  std::uint64_t origin_fetches = 0;  ///< flows that actually hit the uplink
-  std::uint64_t coalesced = 0;       ///< arrivals absorbed by a fill lock
-  std::uint64_t shed = 0;            ///< arrivals refused by admission control
-  std::uint64_t deadline_cancelled = 0;  ///< flows cut by the deadline
-  double cancelled_origin_bytes = 0;     ///< bytes those flows had moved
-
-  /// Seconds the uplink spent busy (the "pinned resource time" of the OBR
-  /// node-exhaustion scenario): sum of per-second busy fractions, recovered
-  /// from the series by dividing out the configured uplink capacity.
-  double busy_seconds(double uplink_mbps) const noexcept {
-    if (uplink_mbps <= 0) return 0;
-    double busy = 0;
-    for (const BandwidthSample& s : series) {
-      busy += s.origin_out_mbps / uplink_mbps;
-    }
-    return busy;
-  }
-};
-
-ShieldedLoadResult simulate_attack_load_shielded(const ShieldedLoadConfig& config);
 
 }  // namespace rangeamp::sim
