@@ -1,8 +1,8 @@
 // Generic, reusable VendorLogic building blocks.
 //
 // The three base policies of section III-B (Laziness / Deletion / Expansion)
-// as concrete logics, plus free helper functions the per-vendor logics in
-// profiles.cc compose.  BoundedExpansionLogic additionally implements the
+// as concrete logics, plus free helper functions that RuleBasedLogic's
+// actions (rules.h) and the vendor classes left in profiles.cc compose.  BoundedExpansionLogic additionally implements the
 // paper's recommended mitigation ("adopt the Expansion policy but not extend
 // the byte range too much ... increase the byte range by 8KB", section VI-C).
 #pragma once

@@ -1,7 +1,6 @@
 #include "cdn/node.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 
 #include "cdn/limits.h"
@@ -60,9 +59,14 @@ Response styled_response(const VendorTraits& traits, int status,
   return resp;
 }
 
-}  // namespace
-
-namespace {
+// The validator fields (RFC 7232) every entity-derived reply carries, in the
+// order the origin model emits them; absent validators are left out.
+Headers validator_headers(std::string_view etag, std::string_view last_modified) {
+  Headers h;
+  if (!last_modified.empty()) h.add("Last-Modified", std::string{last_modified});
+  if (!etag.empty()) h.add("ETag", std::string{etag});
+  return h;
+}
 
 // h2 framing is a property of the segment, not a factory backend (the
 // net layer cannot depend on http2), so the node selects it here; the
@@ -136,8 +140,13 @@ Response CdnNode::handle(const Request& request) {
     span.note("node", traits_.node_id);
   }
   if (m_requests_) m_requests_->inc();
+  // Parsed once: the miss path and the detector see the same Range set.
+  std::optional<RangeSet> range;
+  if (const auto value = request.headers.get("Range")) {
+    range = http::parse_range_header(*value);  // malformed -> ignored
+  }
   if (!detection_) {
-    Response response = handle_request(request, span);
+    Response response = handle_request(request, range, span);
     sync_cache_stats(span);
     span.set_status(response.status);
     return response;
@@ -146,14 +155,10 @@ Response CdnNode::handle(const Request& request) {
   // (the recorder delta around handle_request) and feed the per-client
   // detector afterwards.
   const net::TrafficTotals origin_before = upstream_traffic_.totals();
-  Response response = handle_request(request, span);
+  Response response = handle_request(request, range, span);
   net::TrafficTotals origin_delta = upstream_traffic_.totals();
   origin_delta.request_bytes -= origin_before.request_bytes;
   origin_delta.response_bytes -= origin_before.response_bytes;
-  std::optional<RangeSet> range;
-  if (const auto value = request.headers.get("Range")) {
-    range = http::parse_range_header(*value);
-  }
   feed_detection(request, range, response, origin_delta, span);
   sync_cache_stats(span);
   span.set_status(response.status);
@@ -189,7 +194,9 @@ void CdnNode::sync_cache_stats(obs::SpanScope& span) {
   cache_bytes_reported_ = static_cast<double>(st.bytes);
 }
 
-Response CdnNode::handle_request(const Request& request, obs::SpanScope& span) {
+Response CdnNode::handle_request(const Request& request,
+                                 const std::optional<RangeSet>& range,
+                                 obs::SpanScope& span) {
   if (const auto violation = check_request_limits(traits_.limits, request)) {
     span.note("verdict", "header-limits");
     return error(http::kRequestHeaderFieldsTooLarge, *violation);
@@ -204,10 +211,6 @@ Response CdnNode::handle_request(const Request& request, obs::SpanScope& span) {
     return std::move(*rejected);
   }
 
-  std::optional<RangeSet> range;
-  if (const auto value = request.headers.get("Range")) {
-    range = http::parse_range_header(*value);  // malformed -> ignored
-  }
   if (range && traits_.ingress_max_range_count != 0 &&
       range->count() > traits_.ingress_max_range_count) {
     return error(http::kBadRequest,
@@ -970,19 +973,9 @@ Response CdnNode::degrade(const Request& request,
     return deadline_response("after " + std::to_string(result.attempts) +
                              " attempt(s)");
   }
-  if (result.shed != ShedCause::kNone) {
-    // Serve-stale outranks the open circuit: the stale copy costs the origin
-    // nothing, so shedding it would only hurt availability.  Everything else
-    // is answered 503 + Retry-After (see docs/defense-model.md).
-    if (rp.degradation == DegradationPolicy::kServeStale) {
-      if (const CachedEntity* stale = stale_entity(request)) {
-        Response resp = respond_entity(*stale, range);
-        resp.headers.add("Warning", "111 - \"Revalidation Failed\"");
-        return resp;
-      }
-    }
-    return shed_response(result.shed);
-  }
+  // Serve-stale outranks the open circuit as well as the failure: the stale
+  // copy costs the origin nothing, so shedding it would only hurt
+  // availability.
   if (rp.degradation == DegradationPolicy::kServeStale) {
     if (const CachedEntity* stale = stale_entity(request)) {
       Response resp = respond_entity(*stale, range);
@@ -992,6 +985,9 @@ Response CdnNode::degrade(const Request& request,
       return resp;
     }
   }
+  // Every other shed fetch is answered 503 + Retry-After (see
+  // docs/defense-model.md).
+  if (result.shed != ShedCause::kNone) return shed_response(result.shed);
   if (rp.degradation == DegradationPolicy::kNegativeCache &&
       traits_.cache_enabled) {
     CachedEntity negative;
@@ -1027,13 +1023,7 @@ std::optional<CachedEntity> CdnNode::entity_from_response(const Response& upstre
     // is a truncated transfer (upstream died mid-entity), and caching it
     // would serve a poisoned representation forever.
     if (const auto declared = upstream.headers.get("Content-Length")) {
-      std::uint64_t length = 0;
-      const auto [ptr, ec] = std::from_chars(
-          declared->data(), declared->data() + declared->size(), length);
-      if (ec != std::errc{} || ptr != declared->data() + declared->size() ||
-          length != upstream.body.size()) {
-        return std::nullopt;
-      }
+      if (http::parse_u64(*declared) != upstream.body.size()) return std::nullopt;
     }
     entity.entity = upstream.body;
   }
@@ -1116,13 +1106,6 @@ void CdnNode::store(const Request& request, const CachedEntity& entity) {
   cache_.put(base, std::move(stored));
 }
 
-Headers CdnNode::entity_content_headers(const CachedEntity& entity) const {
-  Headers h;
-  if (!entity.last_modified.empty()) h.add("Last-Modified", entity.last_modified);
-  if (!entity.etag.empty()) h.add("ETag", entity.etag);
-  return h;
-}
-
 Response CdnNode::respond_416(std::uint64_t total_size) {
   Headers content;
   content.add("Content-Range", http::content_range_unsatisfied(total_size));
@@ -1132,6 +1115,12 @@ Response CdnNode::respond_416(std::uint64_t total_size) {
 
 Response CdnNode::respond_entity(const CachedEntity& entity,
                                  const std::optional<RangeSet>& range) {
+  if (!range) {
+    Headers content = validator_headers(entity.etag, entity.last_modified);
+    content.add("Content-Length", std::to_string(entity.size()));
+    content.add("Content-Type", entity.content_type);
+    return style(http::kOk, content, entity.entity);
+  }
   EntityWindow window;
   window.body = entity.entity;
   window.offset = 0;
@@ -1139,13 +1128,6 @@ Response CdnNode::respond_entity(const CachedEntity& entity,
   window.content_type = entity.content_type;
   window.etag = entity.etag;
   window.last_modified = entity.last_modified;
-
-  if (!range) {
-    Headers content = entity_content_headers(entity);
-    content.add("Content-Length", std::to_string(entity.size()));
-    content.add("Content-Type", entity.content_type);
-    return style(http::kOk, content, entity.entity);
-  }
   return respond_window(window, *range);
 }
 
@@ -1166,16 +1148,11 @@ Response CdnNode::respond_window(const EntityWindow& window, const RangeSet& ran
     return error(http::kBadGateway, "no requested range within fetched window");
   }
 
-  CachedEntity meta;
-  meta.content_type = window.content_type;
-  meta.etag = window.etag;
-  meta.last_modified = window.last_modified;
-
   const auto slice = [&](const ResolvedRange& r) {
     return window.body.slice(r.first - win_first, r.length());
   };
   const auto single = [&](const ResolvedRange& r) {
-    Headers content = entity_content_headers(meta);
+    Headers content = validator_headers(window.etag, window.last_modified);
     content.add("Content-Length", std::to_string(r.length()));
     content.add("Content-Range", http::content_range(r, total));
     content.add("Content-Type", window.content_type);
@@ -1187,14 +1164,15 @@ Response CdnNode::respond_window(const EntityWindow& window, const RangeSet& ran
     for (const auto& r : ranges) {
       parts.push_back({r, r.first - win_first, r.length()});
     }
-    return respond_multipart(entity_content_headers(meta), window.content_type,
-                             total, window.body, std::move(parts));
+    return respond_multipart(validator_headers(window.etag, window.last_modified),
+                             window.content_type, total, window.body,
+                             std::move(parts));
   };
   const auto full_200 = [&]() -> Response {
     if (!full_cover) {
       return error(http::kBadGateway, "policy requires full entity not held");
     }
-    Headers content = entity_content_headers(meta);
+    Headers content = validator_headers(window.etag, window.last_modified);
     content.add("Content-Length", std::to_string(total));
     content.add("Content-Type", window.content_type);
     return style(http::kOk, content, window.body);
@@ -1233,10 +1211,7 @@ Response CdnNode::respond_assembled(
     std::vector<std::pair<http::ResolvedRange, Body>> parts) {
   if (parts.empty()) return respond_416(total_size);
 
-  Headers validators;
-  if (!last_modified.empty()) validators.add("Last-Modified", last_modified);
-  if (!etag.empty()) validators.add("ETag", etag);
-
+  Headers validators = validator_headers(etag, last_modified);
   if (parts.size() == 1) {
     auto& [r, payload] = parts.front();
     Headers content = validators;

@@ -260,6 +260,7 @@ class CdnNode final : public net::HttpHandler {
 
  private:
   http::Response handle_request(const http::Request& request,
+                                const std::optional<http::RangeSet>& range,
                                 obs::SpanScope& span);
   /// Publishes the cache engine's eviction/reject/bytes deltas to the
   /// attached registry (and notes evictions on the handle span).  Runs once
@@ -275,7 +276,6 @@ class CdnNode final : public net::HttpHandler {
   http::Response style(int status, const http::Headers& content_headers,
                        http::Body body) const;
   http::Response respond_416(std::uint64_t total_size);
-  http::Headers entity_content_headers(const CachedEntity& entity) const;
   double sim_now() const { return clock_ ? clock_() : 0.0; }
   /// RFC 8586 ingress check: 508 on self-recurrence or hop-cap excess,
   /// 400 on a malformed CDN-Loop; nullopt admits the request.

@@ -1,28 +1,19 @@
 #include "cdn/profiles.h"
 
 #include <algorithm>
-#include <charconv>
 #include <unordered_map>
 
 #include "cdn/logic.h"
+#include "cdn/rules.h"
 
 namespace rangeamp::cdn {
 
 using http::ByteRangeSpec;
-using http::HeaderField;
 using http::RangeSet;
 using http::Request;
 using http::Response;
 
 namespace {
-
-std::optional<std::uint64_t> parse_u64(std::string_view s) {
-  std::uint64_t v = 0;
-  if (s.empty()) return std::nullopt;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-  return v;
-}
 
 // Appends a trace header so the serialized size of the forward header set
 // hits `target_bytes` exactly.  The forward header footprint of the FCDN is
@@ -54,50 +45,83 @@ void pad_part_headers(VendorTraits& traits, std::size_t target_bytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Vendor logics.  Each class is the executable form of that vendor's rows in
-// Tables I-III; the comments cite the row being implemented.
+// Vendor logics.  Most of Table I is a table: per vendor, a Range shape --
+// sometimes guarded by a first-byte or file-size condition -- maps to
+// Deletion ("None") or Laziness (forwarded unchanged).  Those vendors are
+// PolicyRule tables run by RuleBasedLogic (rules.h): first match wins, a
+// ranged request no rule matches is forwarded lazily, a Range-less one is
+// fetched full.  The comments cite the rows each table implements.  Vendors
+// whose behaviour is not a shape->action decision keep a class below.
 // ---------------------------------------------------------------------------
 
-// Akamai (Table I): "bytes=first-last -> None", "bytes=-suffix -> None".
-// Table III: n-part response with overlapping ranges honored (via the
-// traits' kHonorOverlapping reply policy after a Deletion fetch).
-class AkamaiLogic final : public VendorLogic {
- public:
-  Response on_miss(CdnNode& node, const Request& request,
-                   const std::optional<RangeSet>& range) override {
-    if (!range) return deletion_miss(node, request, range);
-    if (range->count() == 1 && range->specs[0].is_open()) {
-      return laziness_miss(node, request, range);
-    }
-    return deletion_miss(node, request, range);
-  }
-};
+constexpr RuleAction kLazy{RuleAction::Kind::kLazy};
+constexpr RuleAction kDelete{RuleAction::Kind::kDelete};
 
-// Alibaba Cloud (Table I): "bytes=-suffix -> None (*)" -- conditional on the
-// customer's Range origin-pull option being disabled.  Closed and open
-// ranges are forwarded unchanged; multi-range sets are fetched full and
+// An unguarded table row: `shape` -> `action`.
+PolicyRule row(RuleShape shape, RuleAction action) {
+  PolicyRule rule;
+  rule.shape = shape;
+  rule.action = action;
+  return rule;
+}
+
+// Akamai, Fastly, G-Core Labs and Cloudflare's cacheable page rule
+// (Table I): "bytes=first-last -> None", "bytes=-suffix -> None"; open
+// ranges are forwarded unchanged.  Multi-range sets are fetched full too,
+// and the traits' reply policy shapes the answer: Akamai honors overlapping
+// parts (Table III), Fastly answers the first range only, G-Core coalesces,
+// and Cloudflare ignores the Range (200 + full entity).  Cloudflare's Bypass
+// mode of Table II is a pure pass-through instead (see make_profile).
+std::vector<PolicyRule> open_lazy_else_delete_rules() {
+  return {row(RuleShape::kSingleOpen, kLazy), row(RuleShape::kAny, kDelete)};
+}
+
+// Alibaba Cloud (Table I): "bytes=-suffix -> None (*)" -- only while the
+// customer's Range origin-pull option is disabled.  Closed and open ranges
+// are forwarded unchanged; multi-range sets are fetched full and
 // answered coalesced (not in Table II/III).
-class AlibabaLogic final : public VendorLogic {
- public:
-  explicit AlibabaLogic(bool range_option_disabled)
-      : vulnerable_(range_option_disabled) {}
+std::vector<PolicyRule> alibaba_rules() {
+  return {row(RuleShape::kSingleSuffix, kDelete), row(RuleShape::kMulti, kDelete),
+          row(RuleShape::kAny, kLazy)};
+}
 
-  Response on_miss(CdnNode& node, const Request& request,
-                   const std::optional<RangeSet>& range) override {
-    if (!vulnerable_ || !range) {
-      return !range ? deletion_miss(node, request, range)
-                    : laziness_miss(node, request, range);
-    }
-    if (range->count() == 1) {
-      if (range->specs[0].is_suffix()) return deletion_miss(node, request, range);
-      return laziness_miss(node, request, range);
-    }
-    return deletion_miss(node, request, range);
-  }
+// CDN77 (Table I): "bytes=first-last (first < 1024) -> None"; everything
+// else, including multi-range sets, is forwarded unchanged (Table II).
+std::vector<PolicyRule> cdn77_rules() {
+  PolicyRule low_closed = row(RuleShape::kSingleClosed, kDelete);
+  low_closed.first_below = kCdn77FirstByteThreshold;
+  return {low_closed, row(RuleShape::kAny, kLazy)};
+}
 
- private:
-  bool vulnerable_;
-};
+// CDNsun (Table I): "bytes=0-last -> None" -- any set whose first spec
+// starts at byte 0 is fetched full; sets starting at byte >= 1 are forwarded
+// unchanged (Table II: "bytes=start1-,... (start1 >= 1) -> Unchanged").
+std::vector<PolicyRule> cdnsun_rules() {
+  PolicyRule zero_start = row(RuleShape::kAny, kDelete);
+  zero_start.first_below = 1;
+  return {zero_start, row(RuleShape::kAny, kLazy)};
+}
+
+// Huawei Cloud (Table I): "bytes=-suffix (F < 10MB) -> None (*)",
+// "bytes=first-last (F >= 10MB) -> None & None (*)".  The size conditions
+// make the node learn F with a HEAD probe; the probe plus the full GET is
+// exactly the "None & None" request pair the origin observes.  Vulnerable
+// only when the customer's Range option is enabled.
+std::vector<PolicyRule> huawei_rules() {
+  PolicyRule small_suffix = row(RuleShape::kSingleSuffix, kDelete);
+  small_suffix.size_below = kHuaweiSizeThreshold;
+  PolicyRule large_closed = row(RuleShape::kSingleClosed, kDelete);
+  large_closed.size_at_least = kHuaweiSizeThreshold;
+  return {row(RuleShape::kSingleOpen, kLazy), small_suffix, large_closed,
+          row(RuleShape::kMulti, kDelete), row(RuleShape::kAny, kLazy)};
+}
+
+// Tencent Cloud (Table I): "bytes=first-last -> None (*)" -- only while the
+// Range origin-pull option is disabled.
+std::vector<PolicyRule> tencent_rules() {
+  return {row(RuleShape::kSingleClosed, kDelete), row(RuleShape::kMulti, kDelete),
+          row(RuleShape::kAny, kLazy)};
+}
 
 // Azure (Table I): Deletion for small files; for files beyond 8 MB the first
 // back-to-origin connection is closed once a little over 8 MB of payload
@@ -115,7 +139,7 @@ class AzureLogic final : public VendorLogic {
     if (first.status != http::kOk) return node.relay(first);
 
     const std::uint64_t total =
-        parse_u64(first.headers.get_or("Content-Length", "")).value_or(0);
+        http::parse_u64(first.headers.get_or("Content-Length", "")).value_or(0);
     const std::uint64_t received = first.body.size();
     if (total == 0 || received >= total) {
       // Entire entity received: plain Deletion behaviour.
@@ -167,55 +191,6 @@ class AzureLogic final : public VendorLogic {
     // client's range lazily.
     const Response fallback = node.fetch(request, range);
     return serve_upstream_result(node, request, fallback, range);
-  }
-};
-
-// CDN77 (Table I): "bytes=first-last (first < 1024) -> None"; everything
-// else, including multi-range sets, is forwarded unchanged (Table II).
-class Cdn77Logic final : public VendorLogic {
- public:
-  Response on_miss(CdnNode& node, const Request& request,
-                   const std::optional<RangeSet>& range) override {
-    if (!range) return deletion_miss(node, request, range);
-    if (range->count() == 1) {
-      const auto& s = range->specs[0];
-      if (s.is_closed() && *s.first < kCdn77FirstByteThreshold) {
-        return deletion_miss(node, request, range);
-      }
-    }
-    return laziness_miss(node, request, range);
-  }
-};
-
-// CDNsun (Table I): "bytes=0-last -> None" -- any set whose first spec
-// starts at byte 0 is fetched full; sets starting at byte >= 1 are forwarded
-// unchanged (Table II: "bytes=start1-,... (start1 >= 1) -> Unchanged").
-class CdnsunLogic final : public VendorLogic {
- public:
-  Response on_miss(CdnNode& node, const Request& request,
-                   const std::optional<RangeSet>& range) override {
-    if (!range) return deletion_miss(node, request, range);
-    const auto& s0 = range->specs[0];
-    if (!s0.is_suffix() && *s0.first == 0) {
-      return deletion_miss(node, request, range);
-    }
-    return laziness_miss(node, request, range);
-  }
-};
-
-// Cloudflare, cacheable page rule (Table I): "bytes=first-last -> None (*)",
-// "bytes=-suffix -> None (*)".  Multi-range requests are answered 200 with
-// the full entity (kIgnoreRange reply policy).  The Bypass mode of Table II
-// is a separate pure-passthrough profile (see make_profile).
-class CloudflareCacheableLogic final : public VendorLogic {
- public:
-  Response on_miss(CdnNode& node, const Request& request,
-                   const std::optional<RangeSet>& range) override {
-    if (!range) return deletion_miss(node, request, range);
-    if (range->count() == 1 && range->specs[0].is_open()) {
-      return laziness_miss(node, request, range);
-    }
-    return deletion_miss(node, request, range);
   }
 };
 
@@ -295,61 +270,6 @@ class CloudFrontLogic final : public VendorLogic {
   }
 };
 
-// Fastly (Table I): "bytes=first-last -> None", "bytes=-suffix -> None".
-// Multi-range requests are fetched full and answered with the first range
-// only (kFirstRangeOnly) -- not OBR-vulnerable on either side.
-class FastlyLogic final : public VendorLogic {
- public:
-  Response on_miss(CdnNode& node, const Request& request,
-                   const std::optional<RangeSet>& range) override {
-    if (!range) return deletion_miss(node, request, range);
-    if (range->count() == 1 && range->specs[0].is_open()) {
-      return laziness_miss(node, request, range);
-    }
-    return deletion_miss(node, request, range);
-  }
-};
-
-// G-Core Labs (Table I): same Deletion rows as Akamai, but multi-range
-// replies are coalesced (not in Table III).
-using GcoreLogic = FastlyLogic;
-
-// Huawei Cloud (Table I): "bytes=-suffix (F < 10MB) -> None (*)",
-// "bytes=first-last (F >= 10MB) -> None & None (*)".  The node learns F via
-// a HEAD probe; the probe plus the full GET is exactly the "None & None"
-// request pair the origin observes.  Vulnerable only when the customer's
-// Range option is enabled.
-class HuaweiLogic final : public VendorLogic {
- public:
-  explicit HuaweiLogic(bool range_option_enabled)
-      : vulnerable_(range_option_enabled) {}
-
-  Response on_miss(CdnNode& node, const Request& request,
-                   const std::optional<RangeSet>& range) override {
-    if (!vulnerable_ || !range) {
-      return !range ? deletion_miss(node, request, range)
-                    : laziness_miss(node, request, range);
-    }
-    if (range->count() == 1) {
-      const auto& s = range->specs[0];
-      if (s.is_open()) return laziness_miss(node, request, range);
-      const Response head =
-          node.fetch(request, std::nullopt, {}, http::Method::HEAD);
-      const std::uint64_t total =
-          parse_u64(head.headers.get_or("Content-Length", "")).value_or(0);
-      const bool small = total < kHuaweiSizeThreshold;
-      if ((s.is_suffix() && small) || (s.is_closed() && !small)) {
-        return deletion_miss(node, request, range);
-      }
-      return laziness_miss(node, request, range);
-    }
-    return deletion_miss(node, request, range);
-  }
-
- private:
-  bool vulnerable_;
-};
-
 // KeyCDN (Table I): "bytes=first-last (& bytes=first-last) ->
 // bytes=first-last (& None)".  The first sighting of a closed-range request
 // is forwarded lazily and NOT cached; the second identical request triggers
@@ -409,30 +329,6 @@ class StackPathLogic final : public VendorLogic {
     }
     return node.relay(first);
   }
-};
-
-// Tencent Cloud (Table I): "bytes=first-last -> None (*)" -- conditional on
-// the Range origin-pull option being disabled.
-class TencentLogic final : public VendorLogic {
- public:
-  explicit TencentLogic(bool range_option_disabled)
-      : vulnerable_(range_option_disabled) {}
-
-  Response on_miss(CdnNode& node, const Request& request,
-                   const std::optional<RangeSet>& range) override {
-    if (!vulnerable_ || !range) {
-      return !range ? deletion_miss(node, request, range)
-                    : laziness_miss(node, request, range);
-    }
-    if (range->count() == 1) {
-      if (range->specs[0].is_closed()) return deletion_miss(node, request, range);
-      return laziness_miss(node, request, range);
-    }
-    return deletion_miss(node, request, range);
-  }
-
- private:
-  bool vulnerable_;
 };
 
 // ---------------------------------------------------------------------------
@@ -747,15 +643,18 @@ std::string_view vendor_name(Vendor v) noexcept {
 
 VendorProfile make_profile(Vendor v, const ProfileOptions& options) {
   VendorProfile profile;
+  // The rule-table vendors fill `rules`; the option-gated (*) rows leave it
+  // empty when the customer option is in its safe position, and the empty
+  // table forwards every Range unchanged.
+  std::vector<PolicyRule> rules;
   switch (v) {
     case Vendor::kAkamai:
       profile.traits = akamai_traits();
-      profile.logic = std::make_unique<AkamaiLogic>();
+      rules = open_lazy_else_delete_rules();
       break;
     case Vendor::kAlibabaCloud:
       profile.traits = alibaba_traits();
-      profile.logic =
-          std::make_unique<AlibabaLogic>(options.origin_range_option_disabled);
+      if (options.origin_range_option_disabled) rules = alibaba_rules();
       break;
     case Vendor::kAzure:
       profile.traits = azure_traits();
@@ -763,11 +662,11 @@ VendorProfile make_profile(Vendor v, const ProfileOptions& options) {
       break;
     case Vendor::kCdn77:
       profile.traits = cdn77_traits();
-      profile.logic = std::make_unique<Cdn77Logic>();
+      rules = cdn77_rules();
       break;
     case Vendor::kCdnsun:
       profile.traits = cdnsun_traits();
-      profile.logic = std::make_unique<CdnsunLogic>();
+      rules = cdnsun_rules();
       break;
     case Vendor::kCloudflare:
       profile.traits = cloudflare_traits(options.cloudflare_mode);
@@ -775,7 +674,7 @@ VendorProfile make_profile(Vendor v, const ProfileOptions& options) {
         // Bypass page rule: pure pass-through, no caching (Table II).
         profile.logic = std::make_unique<LazinessLogic>(/*serve_range_on_200=*/false);
       } else {
-        profile.logic = std::make_unique<CloudflareCacheableLogic>();
+        rules = open_lazy_else_delete_rules();
       }
       break;
     case Vendor::kCloudFront:
@@ -784,16 +683,15 @@ VendorProfile make_profile(Vendor v, const ProfileOptions& options) {
       break;
     case Vendor::kFastly:
       profile.traits = fastly_traits();
-      profile.logic = std::make_unique<FastlyLogic>();
+      rules = open_lazy_else_delete_rules();
       break;
     case Vendor::kGcoreLabs:
       profile.traits = gcore_traits();
-      profile.logic = std::make_unique<GcoreLogic>();
+      rules = open_lazy_else_delete_rules();
       break;
     case Vendor::kHuaweiCloud:
       profile.traits = huawei_traits();
-      profile.logic =
-          std::make_unique<HuaweiLogic>(options.huawei_range_option_enabled);
+      if (options.huawei_range_option_enabled) rules = huawei_rules();
       break;
     case Vendor::kKeyCdn:
       profile.traits = keycdn_traits();
@@ -805,9 +703,11 @@ VendorProfile make_profile(Vendor v, const ProfileOptions& options) {
       break;
     case Vendor::kTencentCloud:
       profile.traits = tencent_traits();
-      profile.logic =
-          std::make_unique<TencentLogic>(options.origin_range_option_disabled);
+      if (options.origin_range_option_disabled) rules = tencent_rules();
       break;
+  }
+  if (!profile.logic) {
+    profile.logic = std::make_unique<RuleBasedLogic>(std::move(rules));
   }
   profile.traits.response_pad_bytes = calibrate_response_pad(profile.traits);
   return profile;

@@ -9,6 +9,13 @@
 //   * and a client-response header footprint calibrated so the SBR
 //     amplification factors land on Table IV.
 //
+// The Table I rows are data where they can be: Akamai, Alibaba Cloud, CDN77,
+// CDNsun, Cloudflare (cacheable), Fastly, G-Core Labs, Huawei Cloud and
+// Tencent Cloud are PolicyRule tables run by RuleBasedLogic (rules.h).
+// Azure's aborted pull, CloudFront's MiB-block expansion, KeyCDN's
+// second-sighting state and StackPath's double forward are not shape->action
+// decisions and keep hand-written VendorLogic classes.
+//
 // Behaviours the paper leaves undocumented (e.g. how CloudFront forwards a
 // multi-range whose expanded span exceeds 10 MiB) are modelled with the most
 // RFC-conservative plausible choice and marked UNDOCUMENTED in profiles.cc.

@@ -1,12 +1,12 @@
 #include "cdn/rules.h"
 
-#include <charconv>
 #include <cstdlib>
 
 #include "cdn/logic.h"
 
 namespace rangeamp::cdn {
 
+using http::parse_u64;
 using http::RangeSet;
 using http::Request;
 using http::Response;
@@ -25,14 +25,6 @@ std::optional<std::uint64_t> first_position(const RangeSet& range) {
   const auto& spec = range.specs[0];
   if (spec.is_suffix()) return std::nullopt;
   return spec.first;
-}
-
-std::optional<std::uint64_t> parse_u64(std::string_view s) {
-  std::uint64_t v = 0;
-  if (s.empty()) return std::nullopt;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-  return v;
 }
 
 std::string_view trim(std::string_view s) {

@@ -1,8 +1,11 @@
 // Declarative, rule-based vendor behaviour.
 //
-// The 13 built-in profiles encode the paper's measurements; this module
-// lets a user model a *new* middlebox without writing C++: a profile spec
-// is a small text document of identity fields, limits and forwarding rules.
+// A rule table maps a Range shape, optionally guarded by a first-byte or
+// file-size condition, to a forwarding policy -- the form of the paper's
+// Table I.  Nine of the 13 built-in profiles (profiles.cc) are such tables
+// run by RuleBasedLogic.  The same evaluator lets a user model a *new*
+// middlebox without writing C++: a profile spec is a small text document of
+// identity fields, limits and forwarding rules.
 //
 //   name: ExampleCDN
 //   limit.single_header_line_bytes: 16384
@@ -42,6 +45,8 @@ enum class RuleShape {
 struct RuleAction {
   enum class Kind { kLazy, kDelete, kExpand, kSlice } kind = Kind::kLazy;
   std::uint64_t parameter = 0;  ///< expand slack / slice size
+
+  bool operator==(const RuleAction&) const = default;
 };
 
 /// One forwarding rule.
@@ -59,6 +64,8 @@ struct PolicyRule {
   bool needs_size() const noexcept {
     return size_below.has_value() || size_at_least.has_value();
   }
+
+  bool operator==(const PolicyRule&) const = default;
 };
 
 /// VendorLogic driven by an ordered rule list.  Requests with no Range

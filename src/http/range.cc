@@ -17,14 +17,6 @@ std::string_view trim_ows(std::string_view s) {
   return s;
 }
 
-std::optional<std::uint64_t> parse_pos(std::string_view s) {
-  if (s.empty()) return std::nullopt;
-  std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-  return v;
-}
-
 // Parses 1*DIGIT at `p` into `v` and advances `p` past it.  False when no
 // digit is there or the value does not fit 64 bits.
 bool parse_digits(const char*& p, const char* end, std::uint64_t& v) {
@@ -53,6 +45,14 @@ void append_spec(std::string& out, const ByteRangeSpec& spec) {
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> parse_u64(std::string_view s) noexcept {
+  if (s.empty()) return std::nullopt;
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
+  return v;
+}
 
 void append_decimal(std::string& out, std::uint64_t v) {
   char digits[20];
@@ -228,9 +228,9 @@ std::optional<ContentRange> parse_content_range(std::string_view value) {
       dash > slash) {
     return std::nullopt;
   }
-  const auto first = parse_pos(value.substr(0, dash));
-  const auto last = parse_pos(value.substr(dash + 1, slash - dash - 1));
-  const auto size = parse_pos(value.substr(slash + 1));
+  const auto first = parse_u64(value.substr(0, dash));
+  const auto last = parse_u64(value.substr(dash + 1, slash - dash - 1));
+  const auto size = parse_u64(value.substr(slash + 1));
   if (!first || !last || !size || *last < *first || *last >= *size) {
     return std::nullopt;
   }

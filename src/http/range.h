@@ -34,6 +34,10 @@ constexpr std::size_t decimal_digits(std::uint64_t v) noexcept {
 /// Appends the decimal spelling of `v` to `out` (the std::to_string text).
 void append_decimal(std::string& out, std::uint64_t v);
 
+/// Parses `s` as 1*DIGIT into a 64-bit value.  nullopt on empty input, any
+/// byte after the digits (sign and whitespace included), or overflow.
+std::optional<std::uint64_t> parse_u64(std::string_view s) noexcept;
+
 /// One element of a byte-range-set.
 ///
 /// Exactly one of the three RFC 7233 spellings:

@@ -1,6 +1,6 @@
 #include "http/serialize.h"
 
-#include <charconv>
+#include "http/range.h"
 
 namespace rangeamp::http {
 namespace {
@@ -29,14 +29,6 @@ bool parse_header_block(std::string_view bytes, std::size_t& cursor, Headers& ou
     out.add(std::string{name}, std::string{value});
     cursor = eol + 2;
   }
-}
-
-std::optional<std::uint64_t> parse_u64(std::string_view s) {
-  std::uint64_t v = 0;
-  if (s.empty()) return std::nullopt;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-  return v;
 }
 
 }  // namespace

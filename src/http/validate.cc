@@ -1,7 +1,6 @@
 #include "http/validate.h"
 
 #include <algorithm>
-#include <charconv>
 
 #include "http/chunked.h"
 #include "http/headers.h"
@@ -9,16 +8,6 @@
 
 namespace rangeamp::http {
 namespace {
-
-std::optional<std::uint64_t> parse_u64(std::string_view token) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc{} || ptr != token.data() + token.size() || token.empty()) {
-    return std::nullopt;
-  }
-  return value;
-}
 
 // Lax Content-Range split: extracts first/last/total without the bounds
 // checks parse_content_range applies, so a lying "bytes 100-199/50" is

@@ -1,5 +1,5 @@
-// Rule-based profiles: spec parsing and differential equivalence with the
-// hand-coded vendor logics.
+// Rule-based profiles: spec parsing, rule evaluation, and differential
+// equivalence of spec replicas with the built-in vendor tables.
 #include "cdn/rules.h"
 
 #include <gtest/gtest.h>
@@ -140,16 +140,38 @@ TEST(RuleBasedLogic, ExpandAndSliceActionsWork) {
   EXPECT_LT(sliced.origin_traffic().response_bytes(), 8192u);
 }
 
+TEST(RuleBasedLogic, HuaweiFailedSizeProbeDegradesWithoutGet) {
+  // Huawei's suffix row is conditioned on the file size, learned by a HEAD
+  // probe.  A failed probe decides nothing: the vendor's degradation
+  // response answers, and no Deletion GET follows.
+  core::SingleCdnTestbed bed(make_profile(Vendor::kHuaweiCloud));
+  bed.origin().resources().add_synthetic("/r.bin", 1u << 20);
+  net::FaultInjector faults;
+  faults.fail_always(net::FaultSpec::reset(), [](const Request& r) {
+    return r.method == http::Method::HEAD;
+  });
+  bed.set_origin_fault_injector(&faults);
+
+  const Response resp = send_range(bed, "bytes=-1");
+  EXPECT_EQ(resp.status, http::kBadGateway);
+  EXPECT_EQ(resp.headers.get_or("Server", ""), "CDN");  // vendor-styled
+  EXPECT_EQ(faults.faults_injected(), 1u);
+  for (const auto& r : bed.origin().request_log()) {
+    EXPECT_NE(r.method, http::Method::GET) << r.headers.get_or("Range", "");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Differential: rule-spec replicas of built-in vendors behave identically
 // under the policy scanner.
 // ---------------------------------------------------------------------------
 
-void expect_same_scan(VendorProfile (*make_replica)(), Vendor builtin) {
+void expect_same_scan(VendorProfile (*make_replica)(), Vendor builtin,
+                      const ProfileOptions& options = {}) {
   // Compare forwarding signatures per probe at two file sizes.
   for (const std::uint64_t size : {1u << 20, 12u << 20}) {
     for (const auto& probe : core::standard_forward_probes()) {
-      core::SingleCdnTestbed a(make_profile(builtin));
+      core::SingleCdnTestbed a(make_profile(builtin, options));
       a.origin().resources().add_synthetic("/d.bin", size);
       core::SingleCdnTestbed b(make_replica());
       b.origin().resources().add_synthetic("/d.bin", size);
@@ -173,6 +195,22 @@ void expect_same_scan(VendorProfile (*make_replica)(), Vendor builtin) {
           << vendor_name(builtin) << " " << probe.label;
     }
   }
+
+  // The built-in logic runs the replica's own table.  A lone
+  // `default -> lazy` restates the evaluator's fallback, which is how an
+  // option-gated variant's empty table reads.
+  const VendorProfile replica = make_replica();
+  const VendorProfile reference = make_profile(builtin, options);
+  const auto* replica_logic = dynamic_cast<const RuleBasedLogic*>(replica.logic.get());
+  const auto* builtin_logic =
+      dynamic_cast<const RuleBasedLogic*>(reference.logic.get());
+  ASSERT_NE(replica_logic, nullptr);
+  ASSERT_NE(builtin_logic, nullptr) << vendor_name(builtin);
+  std::vector<PolicyRule> expected = replica_logic->rules();
+  PolicyRule lazy_default;
+  lazy_default.action = {RuleAction::Kind::kLazy, 0};
+  if (expected == std::vector<PolicyRule>{lazy_default}) expected.clear();
+  EXPECT_EQ(builtin_logic->rules(), expected) << vendor_name(builtin);
 }
 
 TEST(RuleDifferential, Cdn77ReplicaMatchesBuiltin) {
@@ -214,6 +252,82 @@ TEST(RuleDifferential, HuaweiReplicaMatchesBuiltin) {
             "rule: default -> lazy\n");
       },
       Vendor::kHuaweiCloud);
+}
+
+// Akamai, Cloudflare (cacheable), Fastly and G-Core share one table; their
+// replicas differ only in the reply policy, which the scan does not see.
+VendorProfile open_lazy_else_delete_replica() {
+  return *parse_profile_spec(
+      "name: open-lazy-replica\n"
+      "rule: single-open -> lazy\n"
+      "rule: default -> delete\n");
+}
+
+TEST(RuleDifferential, AkamaiReplicaMatchesBuiltin) {
+  expect_same_scan(open_lazy_else_delete_replica, Vendor::kAkamai);
+}
+
+TEST(RuleDifferential, CloudflareReplicaMatchesBuiltin) {
+  expect_same_scan(open_lazy_else_delete_replica, Vendor::kCloudflare);
+}
+
+TEST(RuleDifferential, FastlyReplicaMatchesBuiltin) {
+  expect_same_scan(open_lazy_else_delete_replica, Vendor::kFastly);
+}
+
+TEST(RuleDifferential, GcoreReplicaMatchesBuiltin) {
+  expect_same_scan(open_lazy_else_delete_replica, Vendor::kGcoreLabs);
+}
+
+TEST(RuleDifferential, AlibabaReplicaMatchesBuiltin) {
+  expect_same_scan(
+      [] {
+        return *parse_profile_spec(
+            "name: Alibaba-replica\n"
+            "reply: coalesce\n"
+            "rule: single-suffix -> delete\n"
+            "rule: multi -> delete\n"
+            "rule: default -> lazy\n");
+      },
+      Vendor::kAlibabaCloud);
+}
+
+TEST(RuleDifferential, CdnsunReplicaMatchesBuiltin) {
+  expect_same_scan(
+      [] {
+        return *parse_profile_spec(
+            "name: CDNsun-replica\n"
+            "reply: coalesce\n"
+            "rule: any if first<1 -> delete\n"
+            "rule: default -> lazy\n");
+      },
+      Vendor::kCdnsun);
+}
+
+// The option-gated (*) rows of Table I: with the customer option in its
+// safe position the vendor forwards every Range unchanged.
+VendorProfile forward_unchanged_replica() {
+  return *parse_profile_spec(
+      "name: forward-replica\n"
+      "rule: default -> lazy\n");
+}
+
+TEST(RuleDifferential, AlibabaRangeOptionEnabledMatchesLazyReplica) {
+  ProfileOptions options;
+  options.origin_range_option_disabled = false;
+  expect_same_scan(forward_unchanged_replica, Vendor::kAlibabaCloud, options);
+}
+
+TEST(RuleDifferential, TencentRangeOptionEnabledMatchesLazyReplica) {
+  ProfileOptions options;
+  options.origin_range_option_disabled = false;
+  expect_same_scan(forward_unchanged_replica, Vendor::kTencentCloud, options);
+}
+
+TEST(RuleDifferential, HuaweiRangeOptionDisabledMatchesLazyReplica) {
+  ProfileOptions options;
+  options.huawei_range_option_enabled = false;
+  expect_same_scan(forward_unchanged_replica, Vendor::kHuaweiCloud, options);
 }
 
 }  // namespace

@@ -279,6 +279,23 @@ TEST(ContentRangeFormat, RoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
+// Decimal field parsing (Content-Length, Content-Range positions)
+// ---------------------------------------------------------------------------
+
+TEST(ParseU64, AcceptsExactlyOneOrMoreDigits) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("007"), 7u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_FALSE(parse_u64(""));
+  EXPECT_FALSE(parse_u64("18446744073709551616"));  // overflow
+  EXPECT_FALSE(parse_u64("12a"));                   // trailing byte
+  EXPECT_FALSE(parse_u64("12 "));
+  EXPECT_FALSE(parse_u64(" 12"));
+  EXPECT_FALSE(parse_u64("+12"));
+  EXPECT_FALSE(parse_u64("-12"));
+}
+
+// ---------------------------------------------------------------------------
 // Parameterized property sweep: resolution invariants over many sizes
 // ---------------------------------------------------------------------------
 
