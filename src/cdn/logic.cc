@@ -50,10 +50,7 @@ std::optional<EntityWindow> window_from_206(const Response& upstream) {
   window.body = upstream.body;
   window.offset = cr->range.first;
   window.total_size = cr->resource_size;
-  window.content_type =
-      std::string{upstream.headers.get_or("Content-Type", "application/octet-stream")};
-  window.etag = std::string{upstream.headers.get_or("ETag", "")};
-  window.last_modified = std::string{upstream.headers.get_or("Last-Modified", "")};
+  read_representation(upstream, window);
   return window;
 }
 
@@ -114,7 +111,7 @@ Response BoundedExpansionLogic::on_miss(CdnNode& node, const Request& request,
   return serve_upstream_result(node, request, result.response, range);
 }
 
-std::optional<SliceLogic::SliceResult> SliceLogic::fetch_slice(
+std::optional<EntityWindow> SliceLogic::fetch_slice(
     CdnNode& node, const Request& request, std::uint64_t index,
     const std::optional<RangeSet>& client_range,
     std::optional<CachedEntity>* full_entity,
@@ -126,12 +123,12 @@ std::optional<SliceLogic::SliceResult> SliceLogic::fetch_slice(
       Cache::key(request.headers.get_or("Host", ""), request.path()) +
       "#slice=" + std::to_string(index);
   if (const CachedEntity* hit = node.cache().find(key)) {
-    SliceResult out;
+    EntityWindow out;
     out.body = hit->entity;
+    out.offset = index * slice_;
     out.content_type = hit->content_type;
     out.etag = hit->etag;
     out.last_modified = hit->last_modified;
-    out.total_size = 0;  // the caller reads the total from the size marker
     return out;
   }
 
@@ -156,9 +153,7 @@ std::optional<SliceLogic::SliceResult> SliceLogic::fetch_slice(
 
   CachedEntity slice_entity;
   slice_entity.entity = window->body;
-  slice_entity.content_type = window->content_type;
-  slice_entity.etag = window->etag;
-  slice_entity.last_modified = window->last_modified;
+  read_representation(upstream, slice_entity);
   node.cache().put(key, slice_entity);
   // Remember the representation size alongside the slice set.
   CachedEntity size_marker;
@@ -168,14 +163,7 @@ std::optional<SliceLogic::SliceResult> SliceLogic::fetch_slice(
                               request.path()) +
                        "#slice-total",
                    size_marker);
-
-  SliceResult out;
-  out.body = window->body;
-  out.total_size = window->total_size;
-  out.content_type = window->content_type;
-  out.etag = window->etag;
-  out.last_modified = window->last_modified;
-  return out;
+  return window;
 }
 
 Response SliceLogic::on_miss(CdnNode& node, const Request& request,

@@ -93,19 +93,13 @@ class SliceLogic final : public VendorLogic {
                          const std::optional<http::RangeSet>& range) override;
 
  private:
-  /// Fetches (or recalls from cache) slice `index`; returns nullopt when the
-  /// upstream answer is unusable.  On a 200 the full entity short-circuits
-  /// through `full_entity`.  A transport failure short-circuits through
-  /// `degraded` (the vendor's degradation response, shaped by
-  /// `client_range`).
-  struct SliceResult {
-    http::Body body;
-    std::uint64_t total_size = 0;
-    std::string content_type;
-    std::string etag;
-    std::string last_modified;
-  };
-  std::optional<SliceResult> fetch_slice(
+  /// Fetches (or recalls from cache) slice `index` as a window (a recalled
+  /// slice leaves total_size 0: the caller reads the total from the size
+  /// marker); returns nullopt when the upstream answer is unusable.  On a
+  /// 200 the full entity short-circuits through `full_entity`.  A transport
+  /// failure short-circuits through `degraded` (the vendor's degradation
+  /// response, shaped by `client_range`).
+  std::optional<EntityWindow> fetch_slice(
       CdnNode& node, const http::Request& request, std::uint64_t index,
       const std::optional<http::RangeSet>& client_range,
       std::optional<CachedEntity>* full_entity,

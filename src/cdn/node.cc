@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "cdn/limits.h"
 #include "http/chunked.h"
@@ -33,8 +34,14 @@ bool is_hop_by_hop(std::string_view name) {
 // content headers, Accept-Ranges and the calibration pad.  Shared between
 // CdnNode and calibrate_response_pad() so calibration measures exactly what
 // the node emits.
-Response styled_response(const VendorTraits& traits, int status,
-                         const Headers& content_headers, Body body) {
+//
+// Real CDN trace ids (CF-Ray, X-Amz-Cf-Id, ...) differ per response, so a
+// pad of 16 bytes or more starts with `serial` in hex -- same length, so
+// HTTP/1.1 byte counts (and the Table IV calibration) are untouched, but
+// HPACK cannot fully index repeated responses the way it never could in
+// production.
+Response styled_response(const VendorTraits& traits, std::uint64_t serial,
+                         int status, const Headers& content_headers, Body body) {
   Response resp;
   resp.status = status;
   resp.headers.add("Date", traits.date);
@@ -52,8 +59,14 @@ Response styled_response(const VendorTraits& traits, int status,
   }
   resp.headers.add("Accept-Ranges", "bytes");
   if (traits.response_pad_bytes > 0) {
-    resp.headers.add(std::string{kPadHeaderName},
-                     std::string(traits.response_pad_bytes, 'x'));
+    std::string pad(traits.response_pad_bytes, 'x');
+    if (pad.size() >= 16) {
+      char hex[17];
+      std::snprintf(hex, sizeof(hex), "%016llx",
+                    static_cast<unsigned long long>(serial));
+      pad.replace(0, 16, hex, 16);
+    }
+    resp.headers.add(std::string{kPadHeaderName}, std::move(pad));
   }
   resp.body = std::move(body);
   return resp;
@@ -80,6 +93,34 @@ std::unique_ptr<net::Transport> make_upstream_transport(
   return net::make_transport(spec, recorder, upstream);
 }
 
+std::string_view breaker_state_name(UpstreamBreaker::State state) noexcept {
+  switch (state) {
+    case UpstreamBreaker::State::kClosed: return "closed";
+    case UpstreamBreaker::State::kOpen: return "open";
+    case UpstreamBreaker::State::kHalfOpen: return "half-open";
+  }
+  return "unknown";
+}
+
+// Joins the request's values of the headers a Vary list names.
+std::string variant_of(const Request& request, std::string_view vary) {
+  std::string out;
+  std::size_t pos = 0;
+  while (pos <= vary.size()) {
+    auto comma = vary.find(',', pos);
+    if (comma == std::string_view::npos) comma = vary.size();
+    std::string_view name = vary.substr(pos, comma - pos);
+    while (!name.empty() && name.front() == ' ') name.remove_prefix(1);
+    while (!name.empty() && name.back() == ' ') name.remove_suffix(1);
+    if (!name.empty()) {
+      out.append(request.headers.get_or(name, ""));
+      out.push_back('\x1f');
+    }
+    pos = comma + 1;
+  }
+  return out;
+}
+
 }  // namespace
 
 CdnNode::CdnNode(VendorProfile profile, net::HttpHandler& upstream,
@@ -101,67 +142,48 @@ CdnNode::CdnNode(VendorProfile profile, net::HttpHandler& upstream,
   if (traits_.detection.enabled) {
     detection_ = std::make_unique<NodeDetection>(traits_.detection, 0);
   }
-}
-
-std::optional<Response> CdnNode::check_cdn_loop(const Request& request) {
-  const LoopDefensePolicy& loop = traits_.shield.loop;
-  if (!loop.enabled) return std::nullopt;
-
-  std::vector<CdnLoopEntry> entries;
-  for (const std::string_view value : request.headers.get_all("CDN-Loop")) {
-    auto parsed = parse_cdn_loop(value);
-    if (!parsed) {
-      // A value we cannot lex cannot be checked for recurrence; failing
-      // closed is the only safe option for a loop defense.
-      ++shield_stats_.loop_rejected;
-      return error(http::kBadRequest, "malformed CDN-Loop header");
-    }
-    entries.insert(entries.end(), parsed->begin(), parsed->end());
+  // The ingress guards in precedence order (docs/defense-model.md): protocol
+  // rejections first, quarantine last -- after them, before everything that
+  // costs work.  A switched-off guard is left out, not tested per request.
+  const RetryBudgetPolicy& rb = traits_.overload.retry_budget;
+  guards_.push_back(&CdnNode::check_header_limits);
+  if (traits_.shield.loop.enabled) guards_.push_back(&CdnNode::check_cdn_loop);
+  if (traits_.overload.deadline.enabled ||
+      (rb.enabled && rb.count_chain_attempts)) {
+    guards_.push_back(&CdnNode::check_deadline_ingress);
   }
-  if (cdn_loop_contains(entries, loop_token_)) {
-    ++shield_stats_.loop_rejected;
-    return error(http::kLoopDetected,
-                 "loop detected: " + loop_token_ + " already forwarded this");
+  if (traits_.ingress_max_range_count != 0) {
+    guards_.push_back(&CdnNode::check_range_count);
   }
-  if (loop.max_hops != 0 && entries.size() >= loop.max_hops) {
-    ++shield_stats_.hop_cap_rejected;
-    return error(http::kLoopDetected,
-                 "CDN-Loop hop cap exceeded (" +
-                     std::to_string(entries.size()) + " >= " +
-                     std::to_string(loop.max_hops) + ")");
+  if (detection_ && traits_.detection.quarantine_enabled) {
+    guards_.push_back(&CdnNode::check_quarantine);
   }
-  return std::nullopt;
 }
 
 Response CdnNode::handle(const Request& request) {
+  // A cyclic topology (this node -> BCDN -> this node) re-enters handle()
+  // from inside a fetch; the outer exchange gets its own state back below.
+  Exchange outer = std::exchange(ex_, Exchange{.request = &request});
+  // Parsed once, for the guards, the miss path and the detector alike.
+  if (const auto value = request.headers.get("Range")) {
+    ex_.range = http::parse_range_header(*value);  // malformed -> ignored
+  }
   obs::SpanScope span(tracer_, "cdn.handle");
   if (span) {
     span.note("vendor", traits_.name);
     span.note("node", traits_.node_id);
   }
   if (m_requests_) m_requests_->inc();
-  // Parsed once: the miss path and the detector see the same Range set.
-  std::optional<RangeSet> range;
-  if (const auto value = request.headers.get("Range")) {
-    range = http::parse_range_header(*value);  // malformed -> ignored
-  }
-  if (!detection_) {
-    Response response = handle_request(request, range, span);
-    sync_cache_stats(span);
-    span.set_status(response.status);
-    return response;
-  }
-  // Inline detection: measure the back-to-origin bytes this exchange causes
-  // (the recorder delta around handle_request) and feed the per-client
+  // Inline detection measures the back-to-origin bytes this exchange causes
+  // (the recorder delta around handle_request) and feeds the per-client
   // detector afterwards.
-  const net::TrafficTotals origin_before = upstream_traffic_.totals();
-  Response response = handle_request(request, range, span);
-  net::TrafficTotals origin_delta = upstream_traffic_.totals();
-  origin_delta.request_bytes -= origin_before.request_bytes;
-  origin_delta.response_bytes -= origin_before.response_bytes;
-  feed_detection(request, range, response, origin_delta, span);
+  const net::TrafficTotals origin_before =
+      detection_ ? upstream_traffic_.totals() : net::TrafficTotals{};
+  Response response = handle_request(span);
+  if (detection_) feed_detection(response, origin_before, span);
   sync_cache_stats(span);
   span.set_status(response.status);
+  ex_ = std::move(outer);
   return response;
 }
 
@@ -194,44 +216,17 @@ void CdnNode::sync_cache_stats(obs::SpanScope& span) {
   cache_bytes_reported_ = static_cast<double>(st.bytes);
 }
 
-Response CdnNode::handle_request(const Request& request,
-                                 const std::optional<RangeSet>& range,
-                                 obs::SpanScope& span) {
-  if (const auto violation = check_request_limits(traits_.limits, request)) {
-    span.note("verdict", "header-limits");
-    return error(http::kRequestHeaderFieldsTooLarge, *violation);
+Response CdnNode::handle_request(obs::SpanScope& span) {
+  for (const Guard guard : guards_) {
+    if (auto rejected = (this->*guard)(span)) return std::move(*rejected);
   }
-  if (auto rejected = check_cdn_loop(request)) {
-    span.note("verdict", "loop-rejected");
-    if (m_loop_rejected_) m_loop_rejected_->inc();
-    return std::move(*rejected);
-  }
-  if (auto rejected = check_deadline_ingress(request, span)) {
-    span.note("verdict", "deadline-expired");
-    return std::move(*rejected);
-  }
-
-  if (range && traits_.ingress_max_range_count != 0 &&
-      range->count() > traits_.ingress_max_range_count) {
-    return error(http::kBadRequest,
-                 "Range header carries too many ranges (guard: " +
-                     std::to_string(traits_.ingress_max_range_count) + ")");
-  }
-
-  // Quarantine sits below the protocol rejections (431/508/400) and the
-  // deadline ingress check (which must run unconditionally to reset
-  // per-exchange state), and above everything that costs work: cache
-  // lookups, coalescing, overload admission, the vendor miss path.
-  if (detection_ && traits_.detection.quarantine_enabled) {
-    if (auto rejected = check_quarantine(request, range, span)) {
-      return std::move(*rejected);
-    }
-  }
+  const Request& request = *ex_.request;
+  const std::optional<RangeSet>& range = ex_.range;
 
   if (traits_.cache_enabled) {
-    const auto key = resolve_cache_key(request);
+    const std::string& key = exchange_key();
     if (const CachedEntity* hit = cache_.find(key)) {
-      const double now = clock_ ? clock_() : 0.0;
+      const double now = sim_now();
       if (hit->fresh_at(now)) {
         span.note("cache", "hit");
         if (m_cache_hits_) m_cache_hits_->inc();
@@ -241,14 +236,12 @@ Response CdnNode::handle_request(const Request& request,
       // the stale copy absorbs the request at zero upstream cost
       // (stale-while-revalidate collapsed onto the overload manager).
       if (traits_.overload.watermarks.enabled &&
-          overload_.admit(sim_now()) != OverloadVerdict::kAdmit) {
+          overload_.admit(now) != OverloadVerdict::kAdmit) {
         ++overload_stats_.degraded;
         ++overload_stats_.stale_under_pressure;
         span.note("overload", "serve-stale");
         if (m_overload_degraded_) m_overload_degraded_->inc();
-        Response resp = respond_entity(*hit, range);
-        resp.headers.add("Warning", "110 - \"Response is Stale\"");
-        return resp;
+        return respond_stale(*hit, range, 110);
       }
       // Stale: revalidate with a conditional GET instead of a refetch.
       // (Key differs from the terminal "cache" verdict: a failed revalidation
@@ -267,9 +260,7 @@ Response CdnNode::handle_request(const Request& request,
           traits_.resilience.degradation == DegradationPolicy::kServeStale) {
         // Stale-if-error: the revalidation failed, the stale copy absorbs it.
         span.note("degrade", "serve-stale");
-        Response resp = respond_entity(*hit, range);
-        resp.headers.add("Warning", "111 - \"Revalidation Failed\"");
-        return resp;
+        return respond_stale(*hit, range, 111);
       }
       if (check.ok()) {
         if (check.response.status == 304) {
@@ -288,56 +279,137 @@ Response CdnNode::handle_request(const Request& request,
       // Revalidation failed outright: fall through to the vendor's miss path.
     }
     if (const CachedEntity* negative = cache_.find(key + "#neg")) {
-      const double now = clock_ ? clock_() : 0.0;
-      if (negative->fresh_at(now)) {
+      if (negative->fresh_at(sim_now())) {
         span.note("cache", "negative-hit");
         return error(http::kBadGateway, "negative-cached upstream failure");
       }
     }
   }
 
+  span.note("cache", "miss");
+  if (m_cache_misses_) m_cache_misses_->inc();
   // Request coalescing: a miss whose (key, Range) pair matches a fill still
   // inside its lock window replays the leader's response instead of running
   // the vendor miss path -- N concurrent cache-busting misses collapse into
-  // one origin fetch (proxy_cache_lock / Varnish request collapsing).
-  span.note("cache", "miss");
-  if (m_cache_misses_) m_cache_misses_->inc();
-  if (traits_.shield.coalescing.enabled) {
-    const double now = sim_now();
-    std::string fill_key = resolve_cache_key(request);
+  // one origin fetch (proxy_cache_lock / Varnish request collapsing).  A
+  // held fill outranks overload shedding: replaying the leader's response
+  // costs the origin nothing, so shedding it would only hurt availability
+  // (same argument as serve-stale vs the open breaker).
+  const bool coalescing = traits_.shield.coalescing.enabled;
+  const double now = sim_now();
+  std::string fill_key;
+  if (coalescing) {
+    fill_key = exchange_key();
     fill_key.push_back('\x1f');
     fill_key.append(request.headers.get_or("Range", ""));
-    // A held fill outranks overload shedding: replaying the leader's
-    // response costs the origin nothing, so shedding it would only hurt
-    // availability (same argument as serve-stale vs the open breaker).
     if (const Response* held = fills_.find(fill_key, now)) {
       ++shield_stats_.coalesced_hits;
       span.note("fill_lock", "coalesced-hit");
       if (m_coalesced_hits_) m_coalesced_hits_->inc();
       return *held;
     }
-    if (auto refused = check_overload(request, range, span)) {
-      return std::move(*refused);
-    }
-    ++shield_stats_.fill_fetches;
-    span.note("fill_lock", "leader");
-    Response filled = logic_->on_miss(*this, request, range);
-    fills_.record(std::move(fill_key), filled, now);
-    return filled;
   }
-  if (auto refused = check_overload(request, range, span)) {
-    return std::move(*refused);
-  }
-  return logic_->on_miss(*this, request, range);
+  if (auto refused = check_overload(span)) return std::move(*refused);
+  if (!coalescing) return logic_->on_miss(*this, request, range);
+  ++shield_stats_.fill_fetches;
+  span.note("fill_lock", "leader");
+  Response filled = logic_->on_miss(*this, request, range);
+  fills_.record(std::move(fill_key), filled, now);
+  return filled;
 }
 
-std::optional<Response> CdnNode::check_quarantine(
-    const Request& request, const std::optional<RangeSet>& range,
-    obs::SpanScope& span) {
+std::optional<Response> CdnNode::check_header_limits(obs::SpanScope& span) {
+  const auto violation = check_request_limits(traits_.limits, *ex_.request);
+  if (!violation) return std::nullopt;
+  span.note("verdict", "header-limits");
+  return error(http::kRequestHeaderFieldsTooLarge, *violation);
+}
+
+std::optional<Response> CdnNode::check_cdn_loop(obs::SpanScope& span) {
+  const LoopDefensePolicy& loop = traits_.shield.loop;
+  const auto reject = [&](int status, const std::string& note,
+                          std::uint64_t& counter) {
+    ++counter;
+    span.note("verdict", "loop-rejected");
+    if (m_loop_rejected_) m_loop_rejected_->inc();
+    return error(status, note);
+  };
+  std::vector<CdnLoopEntry> entries;
+  for (const std::string_view value : ex_.request->headers.get_all("CDN-Loop")) {
+    auto parsed = parse_cdn_loop(value);
+    if (!parsed) {
+      // A value we cannot lex cannot be checked for recurrence; failing
+      // closed is the only safe option for a loop defense.
+      return reject(http::kBadRequest, "malformed CDN-Loop header",
+                    shield_stats_.loop_rejected);
+    }
+    entries.insert(entries.end(), parsed->begin(), parsed->end());
+  }
+  if (cdn_loop_contains(entries, loop_token_)) {
+    return reject(http::kLoopDetected,
+                  "loop detected: " + loop_token_ + " already forwarded this",
+                  shield_stats_.loop_rejected);
+  }
+  if (loop.max_hops != 0 && entries.size() >= loop.max_hops) {
+    return reject(http::kLoopDetected,
+                  "CDN-Loop hop cap exceeded (" +
+                      std::to_string(entries.size()) + " >= " +
+                      std::to_string(loop.max_hops) + ")",
+                  shield_stats_.hop_cap_rejected);
+  }
+  return std::nullopt;
+}
+
+std::optional<Response> CdnNode::check_deadline_ingress(obs::SpanScope& span) {
+  const Request& request = *ex_.request;
+  const RetryBudgetPolicy& rb = traits_.overload.retry_budget;
+  if (const auto value = request.headers.get(kAttemptCountHeader)) {
+    if (const auto count = parse_attempt_count(*value)) {
+      ex_.incoming_attempt_count = *count;
+      if (rb.enabled && rb.count_chain_attempts && *count > 1) {
+        // An upstream hop is retrying through us: charge its retry against
+        // our budget so a chain cannot multiply attempts geometrically.
+        overload_.note_chain_attempt(sim_now());
+        ++overload_stats_.chain_attempts;
+        span.note("chain_attempt", std::to_string(*count));
+      }
+    }
+  }
+
+  const DeadlinePolicy& dp = traits_.overload.deadline;
+  if (!dp.enabled) return std::nullopt;  // here for chain counting alone
+  double budget = dp.default_budget_seconds;
+  if (const auto value = request.headers.get(kDeadlineBudgetHeader)) {
+    if (const auto parsed = parse_deadline_budget(*value)) budget = *parsed;
+    // An unparseable value falls back to the default: the header is
+    // internal, and failing open here only loses an optimization.
+  }
+  ex_.deadline_remaining = budget;
+  if (budget < dp.per_hop_min_seconds) {
+    ++overload_stats_.deadline_rejected_ingress;
+    if (m_deadline_expired_) m_deadline_expired_->inc();
+    span.note("deadline", "expired-at-ingress");
+    span.note("verdict", "deadline-expired");
+    return deadline_response("at ingress");
+  }
+  return std::nullopt;
+}
+
+std::optional<Response> CdnNode::check_range_count(obs::SpanScope& span) {
+  const std::size_t cap = traits_.ingress_max_range_count;
+  if (!ex_.range || ex_.range->count() <= cap) return std::nullopt;
+  span.note("verdict", "range-count");
+  return error(http::kBadRequest,
+               "Range header carries too many ranges (guard: " +
+                   std::to_string(cap) + ")");
+}
+
+std::optional<Response> CdnNode::check_quarantine(obs::SpanScope& span) {
+  const Request& request = *ex_.request;
   const double now = sim_now();
   const std::string client_key{request.headers.get_or(kClientKeyHeader, "")};
   const std::string base_key = detection_base_key(request);
-  const core::RangeClass shape = core::classify_range(range);
+  const core::RangeClass shape = core::classify_range(ex_.range);
   const NodeDetection::Match verdict =
       detection_->match(client_key, base_key, shape, now);
   if (verdict == NodeDetection::Match::kNone) return std::nullopt;
@@ -366,24 +438,26 @@ std::optional<Response> CdnNode::check_quarantine(
   return resp;
 }
 
-void CdnNode::feed_detection(const Request& request,
-                             const std::optional<RangeSet>& range,
-                             const Response& response,
-                             const net::TrafficTotals& origin_delta,
+void CdnNode::feed_detection(const Response& response,
+                             const net::TrafficTotals& origin_before,
                              obs::SpanScope& span) {
   // A quarantine 429 is the detector's own output, not evidence: the
   // stream behind it carries no origin traffic and would read as clean,
   // decaying the very alarm that blocks it.
   if (response.status == http::kTooManyRequests) return;
+  const Request& request = *ex_.request;
+  net::TrafficTotals origin_delta = upstream_traffic_.totals();
+  origin_delta.request_bytes -= origin_before.request_bytes;
+  origin_delta.response_bytes -= origin_before.response_bytes;
   net::TrafficTotals client_delta;
   client_delta.request_bytes = http::serialized_size(request);
   client_delta.response_bytes = http::serialized_size(response);
   const std::uint64_t resource = resource_bytes_from_response(response);
   const double now = sim_now();
   const core::DetectorSample sample = core::make_detector_sample(
-      core::selected_bytes_of(range, resource), resource, client_delta,
+      core::selected_bytes_of(ex_.range, resource), resource, client_delta,
       origin_delta, std::string{request.headers.get_or(kClientKeyHeader, "")},
-      detection_base_key(request), core::classify_range(range));
+      detection_base_key(request), core::classify_range(ex_.range));
   const std::uint64_t alarms_before = detection_->stats().alarms;
   const AttackSignature* fresh = detection_->observe(sample, now);
   if (detection_->stats().alarms != alarms_before) {
@@ -395,48 +469,7 @@ void CdnNode::feed_detection(const Request& request,
   }
 }
 
-std::optional<Response> CdnNode::check_deadline_ingress(const Request& request,
-                                                        obs::SpanScope& span) {
-  // Per-exchange state reset happens here, knobs on or off -- a node is
-  // reused across requests and stale budgets must never leak.
-  deadline_remaining_.reset();
-  incoming_attempt_count_ = 1;
-
-  const RetryBudgetPolicy& rb = traits_.overload.retry_budget;
-  if (const auto value = request.headers.get(kAttemptCountHeader)) {
-    if (const auto count = parse_attempt_count(*value)) {
-      incoming_attempt_count_ = *count;
-      if (rb.enabled && rb.count_chain_attempts && *count > 1) {
-        // An upstream hop is retrying through us: charge its retry against
-        // our budget so a chain cannot multiply attempts geometrically.
-        overload_.note_chain_attempt(sim_now());
-        ++overload_stats_.chain_attempts;
-        span.note("chain_attempt", std::to_string(*count));
-      }
-    }
-  }
-
-  const DeadlinePolicy& dp = traits_.overload.deadline;
-  if (!dp.enabled) return std::nullopt;
-  double budget = dp.default_budget_seconds;
-  if (const auto value = request.headers.get(kDeadlineBudgetHeader)) {
-    if (const auto parsed = parse_deadline_budget(*value)) budget = *parsed;
-    // An unparseable value falls back to the default: the header is
-    // internal, and failing open here only loses an optimization.
-  }
-  deadline_remaining_ = budget;
-  if (budget < dp.per_hop_min_seconds) {
-    ++overload_stats_.deadline_rejected_ingress;
-    if (m_deadline_expired_) m_deadline_expired_->inc();
-    span.note("deadline", "expired-at-ingress");
-    return deadline_response("at ingress");
-  }
-  return std::nullopt;
-}
-
-std::optional<Response> CdnNode::check_overload(
-    const Request& request, const std::optional<RangeSet>& range,
-    obs::SpanScope& span) {
+std::optional<Response> CdnNode::check_overload(obs::SpanScope& span) {
   const WatermarkPolicy& wp = traits_.overload.watermarks;
   if (!wp.enabled) return std::nullopt;
   const double now = sim_now();
@@ -452,11 +485,9 @@ std::optional<Response> CdnNode::check_overload(
   if (verdict == OverloadVerdict::kDegrade) {
     ++overload_stats_.degraded;
     if (m_overload_degraded_) m_overload_degraded_->inc();
-    if (const CachedEntity* stale = stale_entity(request)) {
+    if (const CachedEntity* stale = stale_entity(*ex_.request)) {
       ++overload_stats_.stale_under_pressure;
-      Response resp = respond_entity(*stale, range);
-      resp.headers.add("Warning", "110 - \"Response is Stale\"");
-      return resp;
+      return respond_stale(*stale, ex_.range, 110);
     }
     return shed_response(ShedCause::kOverloadLow);
   }
@@ -589,11 +620,6 @@ Request CdnNode::build_upstream_request(const Request& client_request,
   return upstream_request;
 }
 
-net::TransferOutcome CdnNode::upstream_transfer(
-    const Request& upstream_request, const net::TransferOptions& options) {
-  return upstream_->transfer_outcome(upstream_request, options);
-}
-
 Response CdnNode::shed_response(ShedCause cause) {
   const bool overload_cause = cause == ShedCause::kOverloadHigh ||
                               cause == ShedCause::kOverloadLow;
@@ -630,12 +656,10 @@ Response CdnNode::fetch(const Request& client_request,
     // Present the failure as an upstream gateway error so callers that only
     // understand responses still behave: the status is never cacheable and
     // relays as this vendor's 502/504.
-    const int status =
-        result.error->kind == net::TransferErrorKind::kTimeout
-            ? http::kGatewayTimeout
-            : http::kBadGateway;
     Response failed;
-    failed.status = status;
+    failed.status = result.error->kind == net::TransferErrorKind::kTimeout
+                        ? http::kGatewayTimeout
+                        : http::kBadGateway;
     failed.headers.add("Content-Length", "0");
     failed.headers.add("X-Transfer-Error",
                        std::string{net::transfer_error_name(result.error->kind)});
@@ -644,24 +668,11 @@ Response CdnNode::fetch(const Request& client_request,
   return std::move(result.response);
 }
 
-namespace {
-
-std::string_view breaker_state_name(UpstreamBreaker::State state) noexcept {
-  switch (state) {
-    case UpstreamBreaker::State::kClosed: return "closed";
-    case UpstreamBreaker::State::kOpen: return "open";
-    case UpstreamBreaker::State::kHalfOpen: return "half-open";
-  }
-  return "unknown";
-}
-
-}  // namespace
-
 FetchResult CdnNode::fetch_result(const Request& client_request,
                                   const std::optional<RangeSet>& range,
                                   const net::TransferOptions& options,
                                   http::Method method_override) {
-  fetch_taint_no_store_ = false;
+  ex_.taint_no_store = false;
   const ResiliencePolicy& rp = traits_.resilience;
   const DeadlinePolicy& dlp = traits_.overload.deadline;
   const RetryBudgetPolicy& rbp = traits_.overload.retry_budget;
@@ -691,19 +702,26 @@ FetchResult CdnNode::fetch_result(const Request& client_request,
     budget = 0;
   }
 
+  // A leg the exchange deadline cut: marked expired and never stored.
+  // `where` names the cut on the fetch span.
+  const auto expire = [&](FetchResult& cut, std::string_view where) {
+    cut.deadline_expired = true;
+    ex_.taint_no_store = true;
+    ++overload_stats_.deadline_cancelled_legs;
+    if (m_deadline_expired_) m_deadline_expired_->inc();
+    span.note("deadline", where);
+  };
+
   // Deadline gate ahead of everything else, the breaker included: a leg
   // whose remaining budget is below the per-hop minimum is cancelled before
   // any side effect -- no wire byte moves and no breaker state is touched.
-  const bool deadline_active = dlp.enabled && deadline_remaining_.has_value();
-  if (deadline_active && *deadline_remaining_ < dlp.per_hop_min_seconds) {
+  std::optional<double>& remaining = ex_.deadline_remaining;
+  const bool deadline_active = dlp.enabled && remaining.has_value();
+  if (deadline_active && *remaining < dlp.per_hop_min_seconds) {
     FetchResult cancelled;
     cancelled.shed = ShedCause::kDeadline;
-    cancelled.deadline_expired = true;
     cancelled.attempts = 0;
-    fetch_taint_no_store_ = true;
-    ++overload_stats_.deadline_cancelled_legs;
-    if (m_deadline_expired_) m_deadline_expired_->inc();
-    span.note("deadline", "cancelled-before-wire");
+    expire(cancelled, "cancelled-before-wire");
     return cancelled;
   }
 
@@ -715,11 +733,8 @@ FetchResult CdnNode::fetch_result(const Request& client_request,
     FetchResult shed;
     shed.shed = cause;
     shed.attempts = 0;
-    if (cause == ShedCause::kBreakerOpen) {
-      ++shield_stats_.shed_breaker_open;
-    } else {
-      ++shield_stats_.shed_admission;
-    }
+    ++(cause == ShedCause::kBreakerOpen ? shield_stats_.shed_breaker_open
+                                        : shield_stats_.shed_admission);
     span.note("shed", shed_cause_name(cause));
     if (m_shed_) m_shed_->inc();
     return shed;
@@ -740,14 +755,13 @@ FetchResult CdnNode::fetch_result(const Request& client_request,
       // would outlive is cut at the budget, costing only the request bytes
       // that already crossed (the response never does).
       if (!this_attempt.timeout_seconds ||
-          *deadline_remaining_ < *this_attempt.timeout_seconds) {
-        this_attempt.timeout_seconds = *deadline_remaining_;
+          *remaining < *this_attempt.timeout_seconds) {
+        this_attempt.timeout_seconds = *remaining;
         deadline_binds = true;
       }
       if (dlp.propagate) {
-        upstream_request.headers.set(
-            std::string{kDeadlineBudgetHeader},
-            format_deadline_budget(*deadline_remaining_));
+        upstream_request.headers.set(std::string{kDeadlineBudgetHeader},
+                                     format_deadline_budget(*remaining));
       }
     }
     if (rbp.enabled && rbp.count_chain_attempts) {
@@ -756,7 +770,7 @@ FetchResult CdnNode::fetch_result(const Request& client_request,
       // own budget.
       upstream_request.headers.set(
           std::string{kAttemptCountHeader},
-          std::to_string(incoming_attempt_count_ + attempt));
+          std::to_string(ex_.incoming_attempt_count + attempt));
     }
     if (attempt == 0 && rbp.enabled) {
       overload_.note_first_attempt(now);
@@ -764,7 +778,7 @@ FetchResult CdnNode::fetch_result(const Request& client_request,
     }
 
     net::TransferOutcome outcome =
-        upstream_transfer(upstream_request, this_attempt);
+        upstream_->transfer_outcome(upstream_request, this_attempt);
     result.attempts = attempt + 1;
     result.elapsed_seconds += outcome.latency_seconds;
     result.error = outcome.error;
@@ -778,7 +792,7 @@ FetchResult CdnNode::fetch_result(const Request& client_request,
     if (!outcome.error.has_value()) {
       overload_.note_body_bytes(now, outcome.response.body.size());
     }
-    if (deadline_active) *deadline_remaining_ -= outcome.latency_seconds;
+    if (deadline_active) *remaining -= outcome.latency_seconds;
     const bool timed_out =
         outcome.error.has_value() &&
         outcome.error->kind == net::TransferErrorKind::kTimeout;
@@ -788,24 +802,15 @@ FetchResult CdnNode::fetch_result(const Request& client_request,
       // The deadline, not the vendor's attempt timeout, cut this leg: mark
       // the exchange expired, never store, and stop -- a retry would only
       // burn more of a budget that is already gone.
-      result.deadline_expired = true;
-      fetch_taint_no_store_ = true;
-      ++overload_stats_.deadline_cancelled_legs;
-      if (m_deadline_expired_) m_deadline_expired_->inc();
-      span.note("deadline", "cancelled-leg");
+      expire(result, "cancelled-leg");
       break;
     }
 
     const bool retryable = result.error.has_value() || result.upstream_5xx;
     if (!retryable || attempt >= budget) break;
-    if (deadline_active &&
-        *deadline_remaining_ - backoff < dlp.per_hop_min_seconds) {
+    if (deadline_active && *remaining - backoff < dlp.per_hop_min_seconds) {
       // Backing off would eat the rest of the budget; give up now.
-      result.deadline_expired = true;
-      fetch_taint_no_store_ = true;
-      ++overload_stats_.deadline_cancelled_legs;
-      if (m_deadline_expired_) m_deadline_expired_->inc();
-      span.note("deadline", "no-budget-for-retry");
+      expire(result, "no-budget-for-retry");
       break;
     }
     if (!overload_.try_start_retry(sim_now())) {
@@ -818,7 +823,7 @@ FetchResult CdnNode::fetch_result(const Request& client_request,
     }
     if (rbp.enabled) ++overload_stats_.attempts.retries;
     result.elapsed_seconds += backoff;
-    if (deadline_active) *deadline_remaining_ -= backoff;
+    if (deadline_active) *remaining -= backoff;
     backoff *= rp.backoff_multiplier;
   }
   // Feed the breaker ONE verdict for the whole fetch.  Counting every
@@ -891,7 +896,8 @@ void CdnNode::apply_conformance(FetchResult& result,
 
   // Verdict.  Strict rejects any violation; lenient rejects fatal shapes,
   // truncates an over-long identity body down to its declared length, and
-  // passes the remaining soft lies through uncached.
+  // passes the remaining soft lies through uncached.  Every verdict taints
+  // the fetch: its response never enters the cache.
   std::string_view action;
   if (cp.mode == ConformanceMode::kStrict || report.any_fatal()) {
     action = "reject-502";
@@ -900,7 +906,6 @@ void CdnNode::apply_conformance(FetchResult& result,
               "upstream response failed validation: " + report.summary());
     rejected.headers.add("X-Validator-Checks", report.summary());
     result.response = std::move(rejected);
-    fetch_taint_no_store_ = true;
     ++validation_stats_.rejected_502;
   } else if (report.has(http::ValidationCheck::kContentLengthMismatch) &&
              report.declared_content_length &&
@@ -909,13 +914,12 @@ void CdnNode::apply_conformance(FetchResult& result,
     action = "truncate-drop";
     result.response.body = result.response.body.slice(
         0, *report.declared_content_length);
-    fetch_taint_no_store_ = true;
     ++validation_stats_.passed_uncached;
   } else {
     action = "pass-uncached";
-    fetch_taint_no_store_ = true;
     ++validation_stats_.passed_uncached;
   }
+  ex_.taint_no_store = true;
   for (const auto& v : report.violations) count_violation(v.check, action);
   if (span) {
     span.note("validator", std::string{action});
@@ -940,7 +944,8 @@ std::optional<Response> CdnNode::check_assembly_budget(
                    std::to_string(cp.max_multipart_assembly_bytes));
 }
 
-Response CdnNode::respond_multipart(Headers content,
+Response CdnNode::respond_multipart(std::string_view etag,
+                                    std::string_view last_modified,
                                     std::string_view content_type,
                                     std::uint64_t total_size, Body source,
                                     std::vector<http::MultipartPart> parts) {
@@ -951,15 +956,16 @@ Response CdnNode::respond_multipart(Headers content,
        traits_.multipart_part_extra_headers},
       total_size, std::move(source), std::move(parts));
   if (auto over = check_assembly_budget(body.size())) return std::move(*over);
+  Headers content = validator_headers(etag, last_modified);
   content.add("Content-Length", std::to_string(body.size()));
   content.add("Content-Type",
               http::multipart_content_type(traits_.multipart_boundary));
   return style(http::kPartialContent, content, std::move(body));
 }
 
-const CachedEntity* CdnNode::stale_entity(const Request& request) const {
+const CachedEntity* CdnNode::stale_entity(const Request& request) {
   if (!traits_.cache_enabled) return nullptr;
-  return cache_.find(resolve_cache_key(request));
+  return cache_.find(key_of(request));
 }
 
 Response CdnNode::degrade(const Request& request,
@@ -978,11 +984,7 @@ Response CdnNode::degrade(const Request& request,
   // availability.
   if (rp.degradation == DegradationPolicy::kServeStale) {
     if (const CachedEntity* stale = stale_entity(request)) {
-      Response resp = respond_entity(*stale, range);
-      // RFC 5861 stale-if-error marker (obs-deprecated Warning code kept for
-      // observability; only fault paths ever carry it).
-      resp.headers.add("Warning", "111 - \"Revalidation Failed\"");
-      return resp;
+      return respond_stale(*stale, range, 111);
     }
   }
   // Every other shed fetch is answered 503 + Retry-After (see
@@ -992,9 +994,8 @@ Response CdnNode::degrade(const Request& request,
       traits_.cache_enabled) {
     CachedEntity negative;
     negative.content_type = "#negative";
-    negative.expires_at =
-        (clock_ ? clock_() : 0.0) + rp.negative_cache_ttl_seconds;
-    cache_.put(resolve_cache_key(request) + "#neg", std::move(negative));
+    negative.expires_at = sim_now() + rp.negative_cache_ttl_seconds;
+    cache_.put(key_of(request) + "#neg", std::move(negative));
   }
   if (result.error) {
     const bool timeout =
@@ -1027,36 +1028,10 @@ std::optional<CachedEntity> CdnNode::entity_from_response(const Response& upstre
     }
     entity.entity = upstream.body;
   }
-  entity.content_type =
-      std::string{upstream.headers.get_or("Content-Type", "application/octet-stream")};
-  entity.etag = std::string{upstream.headers.get_or("ETag", "")};
-  entity.last_modified = std::string{upstream.headers.get_or("Last-Modified", "")};
+  read_representation(upstream, entity);
   entity.vary = std::string{upstream.headers.get_or("Vary", "")};
   return entity;
 }
-
-namespace {
-
-// Joins the request's values of the headers a Vary list names.
-std::string variant_of(const Request& request, std::string_view vary) {
-  std::string out;
-  std::size_t pos = 0;
-  while (pos <= vary.size()) {
-    auto comma = vary.find(',', pos);
-    if (comma == std::string_view::npos) comma = vary.size();
-    std::string_view name = vary.substr(pos, comma - pos);
-    while (!name.empty() && name.front() == ' ') name.remove_prefix(1);
-    while (!name.empty() && name.back() == ' ') name.remove_suffix(1);
-    if (!name.empty()) {
-      out.append(request.headers.get_or(name, ""));
-      out.push_back('\x1f');
-    }
-    pos = comma + 1;
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string CdnNode::resolve_cache_key(const Request& request) const {
   const std::string base = cache_key(request);
@@ -1068,6 +1043,15 @@ std::string CdnNode::resolve_cache_key(const Request& request) const {
   return base;
 }
 
+const std::string& CdnNode::exchange_key() {
+  if (!ex_.key) ex_.key = resolve_cache_key(*ex_.request);
+  return *ex_.key;
+}
+
+std::string CdnNode::key_of(const Request& request) {
+  return &request == ex_.request ? exchange_key() : resolve_cache_key(request);
+}
+
 std::string CdnNode::cache_key(const Request& request) const {
   return Cache::key(request.headers.get_or("Host", ""),
                     traits_.cache_ignore_query ? request.path()
@@ -1076,7 +1060,7 @@ std::string CdnNode::cache_key(const Request& request) const {
 
 void CdnNode::store(const Request& request, const CachedEntity& entity) {
   if (!traits_.cache_enabled) return;
-  if (fetch_taint_no_store_) {
+  if (ex_.taint_no_store) {
     // Cache-poison guard: the response this entity came from failed
     // validation, so it may be relayed downstream but never stored.
     ++validation_stats_.store_suppressed;
@@ -1101,6 +1085,7 @@ void CdnNode::store(const Request& request, const CachedEntity& entity) {
         base + "#variant=" + variant_of(request, stored.vary);
     cache_.put(base + "#vary", std::move(marker));
     cache_.put(variant_key, std::move(stored));
+    ex_.key.reset();  // the marker changes what the key resolves to
     return;
   }
   cache_.put(base, std::move(stored));
@@ -1113,69 +1098,85 @@ Response CdnNode::respond_416(std::uint64_t total_size) {
   return style(http::kRangeNotSatisfiable, content, Body{});
 }
 
+Response CdnNode::entity_reply(Body body, std::optional<ResolvedRange> part,
+                               std::uint64_t total,
+                               std::string_view content_type,
+                               std::string_view etag,
+                               std::string_view last_modified) {
+  Headers content = validator_headers(etag, last_modified);
+  content.add("Content-Length",
+              std::to_string(part ? part->length() : body.size()));
+  if (part) content.add("Content-Range", http::content_range(*part, total));
+  content.add("Content-Type", std::string{content_type});
+  return style(part ? http::kPartialContent : http::kOk, content,
+               std::move(body));
+}
+
+Response CdnNode::respond_stale(const CachedEntity& stale,
+                                const std::optional<RangeSet>& range,
+                                int warn_code) {
+  Response resp = respond_entity(stale, range);
+  // RFC 5861 markers (obs-deprecated Warning codes kept for observability;
+  // only degraded paths ever carry them).
+  resp.headers.add("Warning", warn_code == 110
+                                  ? "110 - \"Response is Stale\""
+                                  : "111 - \"Revalidation Failed\"");
+  return resp;
+}
+
 Response CdnNode::respond_entity(const CachedEntity& entity,
                                  const std::optional<RangeSet>& range) {
-  if (!range) {
-    Headers content = validator_headers(entity.etag, entity.last_modified);
-    content.add("Content-Length", std::to_string(entity.size()));
-    content.add("Content-Type", entity.content_type);
-    return style(http::kOk, content, entity.entity);
+  if (range) {
+    return respond_ranges(entity.entity, 0, entity.size(), entity.content_type,
+                          entity.etag, entity.last_modified, *range);
   }
-  EntityWindow window;
-  window.body = entity.entity;
-  window.offset = 0;
-  window.total_size = entity.size();
-  window.content_type = entity.content_type;
-  window.etag = entity.etag;
-  window.last_modified = entity.last_modified;
-  return respond_window(window, *range);
+  return entity_reply(entity.entity, std::nullopt, entity.size(),
+                      entity.content_type, entity.etag, entity.last_modified);
 }
 
 Response CdnNode::respond_window(const EntityWindow& window, const RangeSet& range) {
-  const std::uint64_t total = window.total_size;
-  const std::uint64_t win_first = window.offset;
-  const std::uint64_t win_size = window.body.size();
-  const bool full_cover = win_first == 0 && win_size == total;
+  return respond_ranges(window.body, window.offset, window.total_size,
+                        window.content_type, window.etag, window.last_modified,
+                        range);
+}
 
+Response CdnNode::respond_ranges(const Body& body, std::uint64_t offset,
+                                 std::uint64_t total,
+                                 std::string_view content_type,
+                                 std::string_view etag,
+                                 std::string_view last_modified,
+                                 const RangeSet& range) {
+  const std::uint64_t win_size = body.size();
   auto servable = http::resolve_all(range, total);
   if (servable.empty()) return respond_416(total);
 
   // Keep only ranges the window can serve.
   std::erase_if(servable, [&](const ResolvedRange& r) {
-    return r.first < win_first || r.last >= win_first + win_size;
+    return r.first < offset || r.last >= offset + win_size;
   });
   if (servable.empty()) {
     return error(http::kBadGateway, "no requested range within fetched window");
   }
 
-  const auto slice = [&](const ResolvedRange& r) {
-    return window.body.slice(r.first - win_first, r.length());
-  };
   const auto single = [&](const ResolvedRange& r) {
-    Headers content = validator_headers(window.etag, window.last_modified);
-    content.add("Content-Length", std::to_string(r.length()));
-    content.add("Content-Range", http::content_range(r, total));
-    content.add("Content-Type", window.content_type);
-    return style(http::kPartialContent, content, slice(r));
+    return entity_reply(body.slice(r.first - offset, r.length()), r, total,
+                        content_type, etag, last_modified);
   };
   const auto multipart = [&](const std::vector<ResolvedRange>& ranges) {
     std::vector<http::MultipartPart> parts;
     parts.reserve(ranges.size());
     for (const auto& r : ranges) {
-      parts.push_back({r, r.first - win_first, r.length()});
+      parts.push_back({r, r.first - offset, r.length()});
     }
-    return respond_multipart(validator_headers(window.etag, window.last_modified),
-                             window.content_type, total, window.body,
+    return respond_multipart(etag, last_modified, content_type, total, body,
                              std::move(parts));
   };
   const auto full_200 = [&]() -> Response {
-    if (!full_cover) {
+    if (offset != 0 || win_size != total) {
       return error(http::kBadGateway, "policy requires full entity not held");
     }
-    Headers content = validator_headers(window.etag, window.last_modified);
-    content.add("Content-Length", std::to_string(total));
-    content.add("Content-Type", window.content_type);
-    return style(http::kOk, content, window.body);
+    return entity_reply(body, std::nullopt, total, content_type, etag,
+                        last_modified);
   };
 
   if (servable.size() == 1) return single(servable.front());
@@ -1210,15 +1211,10 @@ Response CdnNode::respond_assembled(
     const std::string& etag, const std::string& last_modified,
     std::vector<std::pair<http::ResolvedRange, Body>> parts) {
   if (parts.empty()) return respond_416(total_size);
-
-  Headers validators = validator_headers(etag, last_modified);
   if (parts.size() == 1) {
     auto& [r, payload] = parts.front();
-    Headers content = validators;
-    content.add("Content-Length", std::to_string(r.length()));
-    content.add("Content-Range", http::content_range(r, total_size));
-    content.add("Content-Type", content_type);
-    return style(http::kPartialContent, content, std::move(payload));
+    return entity_reply(std::move(payload), r, total_size, content_type, etag,
+                        last_modified);
   }
   // The part payloads, concatenated, are the source the parts frame.
   Body source;
@@ -1228,7 +1224,7 @@ Response CdnNode::respond_assembled(
     framed.push_back({r, source.size(), payload.size()});
     source.append_body(payload);
   }
-  return respond_multipart(std::move(validators), content_type, total_size,
+  return respond_multipart(etag, last_modified, content_type, total_size,
                            std::move(source), std::move(framed));
 }
 
@@ -1254,21 +1250,8 @@ Response CdnNode::error(int status, std::string_view note) {
 
 Response CdnNode::style(int status, const Headers& content_headers,
                         Body body) const {
-  Response response =
-      styled_response(traits_, status, content_headers, std::move(body));
-  // Real CDN trace ids (CF-Ray, X-Amz-Cf-Id, ...) differ per response.  Vary
-  // the pad header's prefix -- same length, so HTTP/1.1 byte counts (and the
-  // Table IV calibration) are untouched, but HPACK cannot fully index
-  // repeated responses the way it never could in production.
-  if (traits_.response_pad_bytes >= 16) {
-    char serial[17];
-    std::snprintf(serial, sizeof(serial), "%016llx",
-                  static_cast<unsigned long long>(++response_serial_));
-    std::string value(traits_.response_pad_bytes, 'x');
-    value.replace(0, 16, serial, 16);
-    response.headers.set(std::string{kPadHeaderName}, std::move(value));
-  }
-  return response;
+  return styled_response(traits_, ++response_serial_, status, content_headers,
+                         std::move(body));
 }
 
 std::size_t calibrate_response_pad(const VendorTraits& traits) {
@@ -1285,7 +1268,7 @@ std::size_t calibrate_response_pad(const VendorTraits& traits) {
   content.add("Content-Range", "bytes 0-0/26214400");
   content.add("Content-Type", "application/octet-stream");
   const Response canonical =
-      styled_response(probe, http::kPartialContent, content, Body::literal("x"));
+      styled_response(probe, 0, http::kPartialContent, content, Body::literal("x"));
   const std::uint64_t base = http::serialized_size(canonical);
   if (traits.client_response_target_bytes <= base) return 0;
   const std::uint64_t diff = traits.client_response_target_bytes - base;

@@ -1,19 +1,22 @@
 // CdnNode: one CDN edge/surrogate node.
 //
 // A node sits between a downstream peer (the client, or a front CDN) and an
-// upstream handler (the origin, or a back CDN).  Its request handling is:
+// upstream handler (the origin, or a back CDN).  handle() parses the Range
+// header once (a malformed header is ignored per RFC 7233), then:
 //
-//   1. enforce ingress request-header limits (431 on violation);
-//   2. parse the Range header (a malformed header is ignored per RFC 7233);
-//   3. answer from cache when the full entity is cached;
-//   4. otherwise delegate to the vendor's VendorLogic, which decides how to
-//      talk to the upstream -- this is where the Laziness / Deletion /
-//      Expansion policies of section III-B and all the per-vendor quirks of
-//      Tables I-III live.
+//   1. runs the ingress guards, built once from the traits in precedence
+//      order -- header limits (431), CDN-Loop (508/400), deadline (504),
+//      range count (400), quarantine (429); a switched-off guard is not in
+//      the list at all;
+//   2. answers from cache when the full entity is held (fresh, stale under
+//      overload pressure, or revalidated), or replays a coalesced fill;
+//   3. applies overload admission, then delegates the miss to the vendor's
+//      VendorLogic -- where the Laziness / Deletion / Expansion policies of
+//      section III-B and the per-vendor quirks of Tables I-III live.
 //
-// Every upstream exchange goes through a Wire, so the cdn-origin (or
-// fcdn-bcdn) traffic of the experiments is recorded with exact serialized
-// byte counts.
+// docs/defense-model.md holds the full precedence table.  Every upstream
+// exchange goes through a Wire, so the cdn-origin (or fcdn-bcdn) traffic of
+// the experiments is recorded with exact serialized byte counts.
 #pragma once
 
 #include <functional>
@@ -69,6 +72,17 @@ struct EntityWindow {
   std::string etag;
   std::string last_modified;
 };
+
+/// Copies the representation metadata of an upstream response into `held`
+/// (a CachedEntity or an EntityWindow); a missing Content-Type reads as
+/// application/octet-stream.
+template <class Held>
+void read_representation(const http::Response& upstream, Held& held) {
+  held.content_type =
+      upstream.headers.get_or("Content-Type", "application/octet-stream");
+  held.etag = upstream.headers.get_or("ETag", "");
+  held.last_modified = upstream.headers.get_or("Last-Modified", "");
+}
 
 /// Wire protocol of a connection segment (the enum lives with the transport
 /// contract; the historical cdn:: spelling is kept for call sites).
@@ -220,7 +234,7 @@ class CdnNode final : public net::HttpHandler {
 
   /// The stale cached entity this request would be served under
   /// serve-stale degradation, or nullptr.
-  const CachedEntity* stale_entity(const http::Request& request) const;
+  const CachedEntity* stale_entity(const http::Request& request);
 
   /// Extracts a cacheable full entity from a 200 upstream response.
   static std::optional<CachedEntity> entity_from_response(
@@ -259,57 +273,89 @@ class CdnNode final : public net::HttpHandler {
   http::Response error(int status, std::string_view note);
 
  private:
-  http::Response handle_request(const http::Request& request,
-                                const std::optional<http::RangeSet>& range,
-                                obs::SpanScope& span);
+  /// The exchange handle() is serving, replaced by one assignment at its
+  /// top and restored on return (logics fetch synchronously).
+  struct Exchange {
+    const http::Request* request = nullptr;  ///< null outside handle()
+    std::optional<http::RangeSet> range{};   ///< parsed Range (malformed: none)
+    /// Resolved cache key, on first use; store() drops it when it writes a
+    /// #vary marker (the key then resolves to the variant).
+    std::optional<std::string> key{};
+    /// Deadline budget left: stamped at ingress, decremented by every
+    /// attempt's latency and backoff; nullopt = deadline knob off.
+    std::optional<double> deadline_remaining{};
+    /// kAttemptCountHeader at ingress; legs stamp `incoming + retry index`.
+    int incoming_attempt_count = 1;
+    /// The current fetch's response may be relayed but never stored (a
+    /// failed validation or deadline cut); reset by every fetch_result.
+    bool taint_no_store = false;
+  };
+  /// An ingress guard: nullopt admits, otherwise the rejection to serve
+  /// (the guard notes its own verdict on the handle span).
+  using Guard = std::optional<http::Response> (CdnNode::*)(obs::SpanScope&);
+
+  http::Response handle_request(obs::SpanScope& span);
   /// Publishes the cache engine's eviction/reject/bytes deltas to the
   /// attached registry (and notes evictions on the handle span).  Runs once
   /// per handled request; tolerant of cache_.clear() counter resets.
   void sync_cache_stats(obs::SpanScope& span);
   std::string cache_key(const http::Request& request) const;
   std::string resolve_cache_key(const http::Request& request) const;
+  /// The exchange request's resolved cache key (resolved once).
+  const std::string& exchange_key();
+  /// exchange_key() for the exchange request, else resolved afresh.
+  std::string key_of(const http::Request& request);
   http::Request build_upstream_request(const http::Request& client_request,
                                        const std::optional<http::RangeSet>& range,
                                        http::Method method_override) const;
-  net::TransferOutcome upstream_transfer(const http::Request& upstream_request,
-                                         const net::TransferOptions& options);
   http::Response style(int status, const http::Headers& content_headers,
                        http::Body body) const;
   http::Response respond_416(std::uint64_t total_size);
+  /// The one entity reply: 200 with `body` as the whole representation, or
+  /// 206 with `body` as bytes `*part` of `total`.
+  http::Response entity_reply(http::Body body,
+                              std::optional<http::ResolvedRange> part,
+                              std::uint64_t total, std::string_view content_type,
+                              std::string_view etag,
+                              std::string_view last_modified);
+  /// respond_window over borrowed fields (no copy of a cached entity).
+  http::Response respond_ranges(const http::Body& body, std::uint64_t offset,
+                                std::uint64_t total,
+                                std::string_view content_type,
+                                std::string_view etag,
+                                std::string_view last_modified,
+                                const http::RangeSet& range);
+  /// `stale` served with Warning `warn_code`: 110 (stale under overload
+  /// pressure) or 111 (revalidation failed).
+  http::Response respond_stale(const CachedEntity& stale,
+                               const std::optional<http::RangeSet>& range,
+                               int warn_code);
   double sim_now() const { return clock_ ? clock_() : 0.0; }
-  /// RFC 8586 ingress check: 508 on self-recurrence or hop-cap excess,
-  /// 400 on a malformed CDN-Loop; nullopt admits the request.
-  std::optional<http::Response> check_cdn_loop(const http::Request& request);
-  /// Deadline ingress check: stamps this exchange's remaining budget from
-  /// the incoming header (or the policy default) and answers 504 when it is
-  /// already below the per-hop minimum; nullopt admits the request.  Also
-  /// charges upstream-hop retries (attempt-count header > 1) against the
-  /// retry budget.  Resets the per-exchange state even when the knobs are
-  /// off.
-  std::optional<http::Response> check_deadline_ingress(
-      const http::Request& request, obs::SpanScope& span);
-  /// Quarantine check: a request matching an active attack signature is
-  /// answered 429 + Retry-After.  A client-key match refreshes the
-  /// signature's TTL (the attack is demonstrably still live); a pattern
-  /// match never does (collateral must not keep a signature alive).
-  /// nullopt admits the request.  See docs/detection-model.md for where
-  /// this sits in the verdict precedence order.
-  std::optional<http::Response> check_quarantine(
-      const http::Request& request, const std::optional<http::RangeSet>& range,
-      obs::SpanScope& span);
-  /// Feeds one completed exchange to the per-client detector.  Quarantine
-  /// 429s are excluded: a quarantined stream carries no origin traffic and
-  /// would read as "clean", decaying the very alarm that blocks it.
-  void feed_detection(const http::Request& request,
-                      const std::optional<http::RangeSet>& range,
-                      const http::Response& response,
-                      const net::TrafficTotals& origin_delta,
+
+  // The ingress guards, in precedence order (docs/defense-model.md).
+  /// Request-header limits: 431.
+  std::optional<http::Response> check_header_limits(obs::SpanScope& span);
+  /// RFC 8586: 508 on self-recurrence or hop-cap excess, 400 if malformed.
+  std::optional<http::Response> check_cdn_loop(obs::SpanScope& span);
+  /// Stamps the exchange's deadline budget (header or policy default), 504
+  /// when it is below the per-hop minimum; charges upstream-hop retries
+  /// (attempt count > 1) against the retry budget.
+  std::optional<http::Response> check_deadline_ingress(obs::SpanScope& span);
+  /// traits().ingress_max_range_count: 400 on a Range with more ranges.
+  std::optional<http::Response> check_range_count(obs::SpanScope& span);
+  /// 429 + Retry-After on an active attack-signature match.  A client-key
+  /// match refreshes the signature's TTL (the attack is still live); a
+  /// pattern match never does (collateral must not keep it alive).
+  std::optional<http::Response> check_quarantine(obs::SpanScope& span);
+
+  /// Feeds one completed exchange (origin bytes: the upstream recorder's
+  /// growth since `origin_before`) to the per-client detector.
+  void feed_detection(const http::Response& response,
+                      const net::TrafficTotals& origin_before,
                       obs::SpanScope& span);
   /// Watermark admission for one cache miss: nullopt admits, otherwise the
   /// degraded (stale / 503) or shed (503) response to serve.
-  std::optional<http::Response> check_overload(
-      const http::Request& request, const std::optional<http::RangeSet>& range,
-      obs::SpanScope& span);
+  std::optional<http::Response> check_overload(obs::SpanScope& span);
   /// The vendor-styled 503 + Retry-After a shed request is answered with.
   http::Response shed_response(ShedCause cause);
   /// The vendor-styled 504 an exchange past its deadline is answered with.
@@ -327,7 +373,8 @@ class CdnNode final : public net::HttpHandler {
   /// The multipart/byteranges 206 of respond_window and respond_assembled:
   /// frames `parts` of `source` with this vendor's boundary and part
   /// headers, or answers 502 when the body is over the assembly budget.
-  http::Response respond_multipart(http::Headers content,
+  http::Response respond_multipart(std::string_view etag,
+                                   std::string_view last_modified,
                                    std::string_view content_type,
                                    std::uint64_t total_size, http::Body source,
                                    std::vector<http::MultipartPart> parts);
@@ -350,19 +397,9 @@ class CdnNode final : public net::HttpHandler {
   /// (a detection-unaware node does zero extra work).
   std::unique_ptr<NodeDetection> detection_;
   GossipFabric* gossip_ = nullptr;
-  /// Set by apply_conformance when the current fetch's response may be
-  /// relayed but must never enter the cache; reset at every fetch_result.
-  /// Safe as a member: a node handles one request at a time, and every
-  /// logic's store() follows its fetch synchronously.
-  bool fetch_taint_no_store_ = false;
-  /// Per-exchange deadline state, stamped at ingress by
-  /// check_deadline_ingress and decremented by every attempt's latency and
-  /// backoff in fetch_result.  Same single-request-at-a-time safety argument
-  /// as fetch_taint_no_store_.  nullopt = deadline knob off.
-  std::optional<double> deadline_remaining_;
-  /// The exchange's attempt number at ingress (kAttemptCountHeader, 1 when
-  /// absent); forwarded legs stamp `incoming + retry index`.
-  int incoming_attempt_count_ = 1;
+  /// The switched-on ingress guards, in precedence order (constructor).
+  std::vector<Guard> guards_;
+  Exchange ex_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   // Cached metric handles (registry map entries are reference-stable); all

@@ -151,12 +151,8 @@ class AzureLogic final : public VendorLogic {
     // F > 8 MB; we hold the prefix [0, received).
     EntityWindow prefix;
     prefix.body = first.body;
-    prefix.offset = 0;
     prefix.total_size = total;
-    prefix.content_type =
-        std::string{first.headers.get_or("Content-Type", "application/octet-stream")};
-    prefix.etag = std::string{first.headers.get_or("ETag", "")};
-    prefix.last_modified = std::string{first.headers.get_or("Last-Modified", "")};
+    read_representation(first, prefix);
 
     if (!range) {
       // UNDOCUMENTED: a plain GET of a large file; refetch without abort.

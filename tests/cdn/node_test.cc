@@ -634,5 +634,47 @@ TEST(NodeQuarantine, PatternQuarantineCatchesRotatedClientKey) {
   EXPECT_EQ(keyed.send(attack_probe(3, "fresh-identity")).status, 206);
 }
 
+// The whole ingress order on one node with every guard on: a request that
+// violates all five guards is answered by the first, and clearing one
+// violation at a time walks the precedence table of docs/defense-model.md
+// down to the cache.
+TEST(NodeIngress, GuardsRunInPrecedenceOrder) {
+  VendorProfile profile = generic_profile(std::make_unique<DeletionLogic>());
+  profile.traits.limits.total_header_bytes = 512;
+  profile.traits.shield.loop.enabled = true;
+  profile.traits.overload.deadline.enabled = true;
+  profile.traits.ingress_max_range_count = 2;
+  profile.traits.detection.enabled = true;
+  profile.traits.detection.quarantine_enabled = true;
+  profile.traits.detection.detector.window = 5;
+  profile.traits.detection.detector.min_samples = 3;
+  core::SingleCdnTestbed bed(std::move(profile));
+  bed.origin().resources().add_synthetic("/big.bin", 1 << 20);
+  // Three probes trip the detector on "evil"; the first one's entity is
+  // cached under /big.bin?cb=0.
+  for (int i = 0; i < 3; ++i) ASSERT_EQ(bed.send(attack_probe(i)).status, 206);
+  const std::size_t origin_requests = bed.origin().request_log().size();
+
+  Request req = attack_probe(0);
+  req.headers.set("Range", "bytes=0-0,2-2,4-4");
+  req.headers.add(std::string(kDeadlineBudgetHeader), "0.000001");
+  req.headers.add("CDN-Loop", bed.cdn().loop_token());
+  req.headers.add("X-Big", std::string(600, 'x'));
+  EXPECT_EQ(bed.send(req).status, 431);  // header limits
+  req.headers.remove("X-Big");
+  EXPECT_EQ(bed.send(req).status, 508);  // CDN-Loop
+  req.headers.remove("CDN-Loop");
+  EXPECT_EQ(bed.send(req).status, 504);  // deadline at ingress
+  req.headers.remove(kDeadlineBudgetHeader);
+  EXPECT_EQ(bed.send(req).status, 400);  // range count
+  req.headers.set("Range", "bytes=0-0");
+  EXPECT_EQ(bed.send(req).status, 429);  // quarantine
+  req.headers.set(std::string(kClientKeyHeader), "good");
+  const Response served = bed.send(req);
+  EXPECT_EQ(served.status, 206);  // the cache path: a hit, no origin work
+  EXPECT_EQ(served.body.size(), 1u);
+  EXPECT_EQ(bed.origin().request_log().size(), origin_requests);
+}
+
 }  // namespace
 }  // namespace rangeamp::cdn
