@@ -168,6 +168,11 @@ Response CdnNode::handle(const Request& request) {
   if (const auto value = request.headers.get("Range")) {
     ex_.range = http::parse_range_header(*value);  // malformed -> ignored
   }
+  if (detection_) {
+    ex_.client_key = request.headers.get_or(kClientKeyHeader, "");
+    ex_.base_key = detection_base_key(request);
+    ex_.shape = core::classify_range(ex_.range);
+  }
   obs::SpanScope span(tracer_, "cdn.handle");
   if (span) {
     span.note("vendor", traits_.name);
@@ -278,10 +283,13 @@ Response CdnNode::handle_request(obs::SpanScope& span) {
       }
       // Revalidation failed outright: fall through to the vendor's miss path.
     }
-    if (const CachedEntity* negative = cache_.find(key + "#neg")) {
-      if (negative->fresh_at(sim_now())) {
-        span.note("cache", "negative-hit");
-        return error(http::kBadGateway, "negative-cached upstream failure");
+    // Only the negative-cache degradation writes #neg entries (degrade()).
+    if (traits_.resilience.degradation == DegradationPolicy::kNegativeCache) {
+      if (const CachedEntity* negative = cache_.find(key + "#neg")) {
+        if (negative->fresh_at(sim_now())) {
+          span.note("cache", "negative-hit");
+          return error(http::kBadGateway, "negative-cached upstream failure");
+        }
       }
     }
   }
@@ -405,20 +413,16 @@ std::optional<Response> CdnNode::check_range_count(obs::SpanScope& span) {
 }
 
 std::optional<Response> CdnNode::check_quarantine(obs::SpanScope& span) {
-  const Request& request = *ex_.request;
   const double now = sim_now();
-  const std::string client_key{request.headers.get_or(kClientKeyHeader, "")};
-  const std::string base_key = detection_base_key(request);
-  const core::RangeClass shape = core::classify_range(ex_.range);
   const NodeDetection::Match verdict =
-      detection_->match(client_key, base_key, shape, now);
+      detection_->match(ex_.client_key, ex_.base_key, ex_.shape, now);
   if (verdict == NodeDetection::Match::kNone) return std::nullopt;
   if (verdict == NodeDetection::Match::kClient) {
     // The attack is demonstrably still live; without this refresh the
     // signature would expire under the quarantine (quarantined requests
     // never reach the detectors) and the cluster would oscillate between
     // quarantining and re-detecting the same client.
-    detection_->refresh_client(client_key, now);
+    detection_->refresh_client(ex_.client_key, now);
   }
   span.note("verdict", verdict == NodeDetection::Match::kClient
                            ? "quarantine-client"
@@ -456,8 +460,8 @@ void CdnNode::feed_detection(const Response& response,
   const double now = sim_now();
   const core::DetectorSample sample = core::make_detector_sample(
       core::selected_bytes_of(ex_.range, resource), resource, client_delta,
-      origin_delta, std::string{request.headers.get_or(kClientKeyHeader, "")},
-      detection_base_key(request), core::classify_range(ex_.range));
+      origin_delta, std::move(ex_.client_key), std::move(ex_.base_key),
+      ex_.shape);
   const std::uint64_t alarms_before = detection_->stats().alarms;
   const AttackSignature* fresh = detection_->observe(sample, now);
   if (detection_->stats().alarms != alarms_before) {

@@ -52,6 +52,9 @@ class VendorLogic {
   /// (nullopt when absent or malformed).  Returns the client-facing response.
   virtual http::Response on_miss(CdnNode& node, const http::Request& request,
                                  const std::optional<http::RangeSet>& range) = 0;
+
+  /// URLs the logic remembers outside the cache (KeyCDN's first sightings).
+  virtual std::size_t remembered_keys() const { return 0; }
 };
 
 /// A vendor profile: identity/calibration data plus miss behaviour.
@@ -289,6 +292,12 @@ class CdnNode final : public net::HttpHandler {
     /// The current fetch's response may be relayed but never stored (a
     /// failed validation or deadline cut); reset by every fetch_result.
     bool taint_no_store = false;
+    /// Detection inputs, set at ingress on a detection-enabled node for the
+    /// quarantine guard and the detector alike; feed_detection() consumes
+    /// the strings.
+    std::string client_key{};
+    std::string base_key{};
+    core::RangeClass shape = core::RangeClass::kNone;
   };
   /// An ingress guard: nullopt admits, otherwise the rejection to serve
   /// (the guard notes its own verdict on the handle span).

@@ -1,6 +1,9 @@
 #include "cdn/profiles.h"
 
 #include <algorithm>
+#include <iterator>
+#include <list>
+#include <string_view>
 #include <unordered_map>
 
 #include "cdn/logic.h"
@@ -275,19 +278,24 @@ class KeyCdnLogic final : public VendorLogic {
   Response on_miss(CdnNode& node, const Request& request,
                    const std::optional<RangeSet>& range) override {
     if (range && range->count() == 1 && range->specs[0].is_closed()) {
-      const auto key =
+      std::string key =
           Cache::key(request.headers.get_or("Host", ""), request.target);
-      if (++seen_[key] == 1) {
-        const Response upstream = node.fetch(request, range);
-        if (upstream.status == http::kOk) {
-          // Range-serve a 200 but do not cache on first sight.
-          if (auto entity = CdnNode::entity_from_response(upstream)) {
-            return node.respond_entity(*entity, range);
-          }
-        }
-        return node.relay(upstream);
+      if (const auto seen = seen_.find(key); seen != seen_.end()) {
+        // Second sighting: Deletion caches the entity, so the key is done.
+        const auto sighting = seen->second;
+        seen_.erase(seen);
+        sightings_.erase(sighting);
+        return deletion_miss(node, request, range);
       }
-      return deletion_miss(node, request, range);
+      remember(std::move(key), node.traits().cache);
+      const Response upstream = node.fetch(request, range);
+      if (upstream.status == http::kOk) {
+        // Range-serve a 200 but do not cache on first sight.
+        if (auto entity = CdnNode::entity_from_response(upstream)) {
+          return node.respond_entity(*entity, range);
+        }
+      }
+      return node.relay(upstream);
     }
     if (!range) return deletion_miss(node, request, range);
     // Multi-range sets are fetched full and answered coalesced -- KeyCDN is
@@ -296,8 +304,26 @@ class KeyCdnLogic final : public VendorLogic {
     return laziness_miss(node, request, range);
   }
 
+  std::size_t remembered_keys() const override { return seen_.size(); }
+
  private:
-  std::unordered_map<std::string, std::uint64_t> seen_;
+  // First sightings are keys the node saw but does not hold, so they get
+  // the budget the cache keeps for those itself: its ghost lists.  The
+  // oldest is forgotten first.
+  void remember(std::string key, const CacheTraits& cache) {
+    const std::size_t budget =
+        std::max<std::size_t>(1, cache.ghost_entries * cache.shards);
+    while (seen_.size() >= budget) {
+      seen_.erase(sightings_.front());
+      sightings_.pop_front();
+    }
+    sightings_.push_back(std::move(key));
+    seen_.emplace(sightings_.back(), std::prev(sightings_.end()));
+  }
+
+  std::list<std::string> sightings_;  ///< first sightings, oldest first
+  /// Views into sightings_; an entry is erased before its list node.
+  std::unordered_map<std::string_view, std::list<std::string>::iterator> seen_;
 };
 
 // StackPath (Table I): "bytes=... -> bytes=... [& None]".  Every ranged miss

@@ -47,82 +47,128 @@ void EventQueue::run_until(double horizon) {
   now_ = std::max(now_, horizon);
 }
 
+namespace {
+// A flow this close to its tag is done: floating-point dust, not demand.
+constexpr double kDustBytes = 1e-6;
+}  // namespace
+
 std::uint64_t PsLink::start_flow(std::uint64_t bytes) {
   advance_to_now();
-  PsFlow flow;
-  flow.id = next_id_++;
-  flow.total = static_cast<double>(bytes);
-  flow.remaining = static_cast<double>(bytes);
-  flow.start_time = queue_->now();
-  flows_.push_back(flow);
+  const std::uint64_t id = next_id_++;
+  const double now = queue_->now();
   if (bytes == 0) {
     // Degenerate flow: completes immediately.
-    const std::uint64_t id = flow.id;
-    const double start = flow.start_time;
-    flows_.pop_back();
-    queue_->schedule(queue_->now(), [this, id, start] {
-      if (on_completion_) on_completion_(id, 0, start);
+    queue_->schedule(now, [this, id, now] {
+      if (on_completion_) on_completion_(id, 0, now);
     });
-    return flow.id;
+    return id;
   }
-  arm_next_completion();
-  return flow.id;
+  if (active_++ == 0) busy_since_ = now;
+  // Same instant, same size, next id: a new member of the newest cohort.
+  // Its tag and so the head are unchanged; the armed wake-up now fires
+  // early and re-arms.
+  if (const auto newest = cohorts_.find(newest_cohort_);
+      newest != cohorts_.end()) {
+    Cohort& cohort = newest->second;
+    if (cohort.start_time == now && cohort.bytes == bytes &&
+        newest->first + cohort.count == id) {
+      ++cohort.count;
+      ++cohort.live;
+      return id;
+    }
+  }
+  const double tag = v_ + static_cast<double>(bytes);
+  cohorts_.emplace(id, Cohort{.tag = tag, .start_v = v_, .start_time = now,
+                              .bytes = bytes, .cancelled = {}});
+  order_.emplace(tag, id);
+  newest_cohort_ = id;
+  arm();
+  return id;
 }
 
 bool PsLink::cancel_flow(std::uint64_t id) {
+  auto it = cohorts_.upper_bound(id);
+  if (it == cohorts_.begin()) return false;
+  --it;
+  Cohort& cohort = it->second;
+  const std::uint64_t member = id - it->first;
+  if (member >= cohort.count) return false;
+  if (member < cohort.cancelled.size() && cohort.cancelled[member]) return false;
   advance_to_now();
-  const auto it = std::find_if(flows_.begin(), flows_.end(),
-                               [&](const PsFlow& f) { return f.id == id; });
-  if (it == flows_.end()) return false;
-  cancelled_bytes_ += it->total - it->remaining;
-  flows_.erase(it);
-  // The survivors' shares just grew; their next completion moves earlier.
-  arm_next_completion();
+  cohort.cancelled.resize(cohort.count);
+  cohort.cancelled[member] = true;
+  cancelled_bytes_ +=
+      std::min(v_ - cohort.start_v, static_cast<double>(cohort.bytes));
+  if (--cohort.live == 0) {
+    order_.erase({cohort.tag, it->first});
+    cohorts_.erase(it);
+  }
+  // The survivors' shares just grew; the head's completion moves earlier.
+  leave(1);
+  arm();
   return true;
 }
 
 void PsLink::advance_to_now() {
   const double now = queue_->now();
-  const double dt = now - last_update_;
-  if (dt > 0 && !flows_.empty()) {
-    const double share = capacity_ / static_cast<double>(flows_.size());
-    for (PsFlow& f : flows_) {
-      const double moved = std::min(share * dt, f.remaining);
-      f.remaining -= moved;
-      moved_bytes_ += moved;
-    }
+  if (active_ != 0) {
+    v_ += capacity_ / static_cast<double>(active_) * (now - last_update_);
   }
   last_update_ = now;
 }
 
-void PsLink::arm_next_completion() {
-  if (flows_.empty()) return;
-  const double share = capacity_ / static_cast<double>(flows_.size());
-  double min_remaining = flows_.front().remaining;
-  for (const PsFlow& f : flows_) min_remaining = std::min(min_remaining, f.remaining);
-  const double eta = queue_->now() + min_remaining / share;
+double PsLink::eta(double tag) const {
+  return queue_->now() + (tag - v_) / (capacity_ / static_cast<double>(active_));
+}
 
-  const std::uint64_t generation = ++arm_generation_;
-  queue_->schedule(eta, [this, generation] {
-    if (generation != arm_generation_) return;  // superseded by a newer arm
-    advance_to_now();
-    // Retire every flow that is (numerically) done, in start order, in one
-    // pass: flows of one burst and size finish together.
-    std::vector<PsFlow> done;
-    std::erase_if(flows_, [&](const PsFlow& f) {
-      if (f.remaining > 1e-6) return false;
-      moved_bytes_ += f.remaining;  // floating-point dust
-      done.push_back(f);
-      return true;
-    });
-    for (const PsFlow& f : done) {
-      completed_bytes_ += f.total;
+void PsLink::leave(std::uint64_t flows) {
+  active_ -= flows;
+  if (active_ != 0) return;
+  busy_time_ += queue_->now() - busy_since_;
+  v_ = 0;  // no tags remain; restarting V keeps the next period's tags exact
+}
+
+void PsLink::arm() {
+  if (order_.empty()) {
+    if (armed_) queue_->cancel(wakeup_);
+    armed_ = false;
+    return;
+  }
+  const double at = eta(order_.begin()->first);
+  if (armed_ && armed_at_ <= at) return;  // fires early and re-arms
+  if (armed_) queue_->cancel(wakeup_);
+  armed_ = true;
+  armed_at_ = at;
+  wakeup_ = queue_->schedule(at, [this] { wake(); });
+}
+
+void PsLink::wake() {
+  armed_ = false;
+  advance_to_now();
+  // Retire every due cohort before running a handler.  A cohort is due at
+  // its tag, or when the time left rounds to nothing at this clock.
+  std::vector<std::pair<std::uint64_t, Cohort>> due;
+  while (!order_.empty()) {
+    const auto [tag, first] = *order_.begin();
+    if (tag - v_ > kDustBytes && eta(tag) > queue_->now()) break;
+    order_.erase(order_.begin());
+    Cohort cohort = std::move(cohorts_.extract(first).mapped());
+    leave(cohort.live);
+    due.emplace_back(first, std::move(cohort));
+  }
+  // Flows finishing together complete in start order.
+  std::sort(due.begin(), due.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [first, cohort] : due) {
+    for (std::uint64_t member = 0; member < cohort.count; ++member) {
+      if (member < cohort.cancelled.size() && cohort.cancelled[member]) continue;
+      completed_bytes_ += static_cast<double>(cohort.bytes);
       if (on_completion_) {
-        on_completion_(f.id, static_cast<std::uint64_t>(f.total), f.start_time);
+        on_completion_(first + member, cohort.bytes, cohort.start_time);
       }
     }
-    arm_next_completion();
-  });
+  }
+  arm();
 }
 
 }  // namespace rangeamp::sim

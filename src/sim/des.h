@@ -4,17 +4,30 @@
 // requests per second against a 1000 Mbps origin uplink, with the origin's
 // outgoing and the client's incoming bandwidth sampled per second.  Byte
 // counts alone cannot show the saturation knee at m ~ 12; a capacity-limited
-// link whose concurrent transfers share the capacity equally can.  A
-// processor-sharing (PS) link's next completion time is analytic (min
-// remaining / fair share), so the simulation jumps from event to event with
-// no integration error.  sim/attack_load.h drives the Fig 7 experiment on
-// this link.
+// link whose concurrent transfers share the capacity equally can.
+//
+// PsLink is a virtual-time processor-sharing (PS) link.  A virtual clock V
+// advances at capacity / n while n flows are active, so every active flow has
+// received exactly V(now) - V(start) bytes; a flow of b bytes started at V0
+// finishes when V reaches its tag V0 + b.  Flows that start at the same
+// instant with the same size share a tag and are stored as one cohort: a
+// contiguous id range plus the set of members cancelled since.  Cohorts are
+// ordered on (tag, first id), so advancing to now is O(1) and a start, a
+// cancel or a completion is O(log cohorts).  One completion wake-up is armed
+// at a time: a start only delays the current head, so it re-arms only when it
+// makes a new, earlier head; a wake-up that fires early re-arms itself.  The
+// bytes moved are the busy-period closed form, capacity x busy time, so a
+// link busy throughout reads exactly capacity x t.  sim/attack_load.h drives
+// the Fig 7 experiment on this link.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <queue>
+#include <set>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace rangeamp::sim {
@@ -102,7 +115,11 @@ class PsLink {
   /// Returns false when the flow already completed (or never existed).
   bool cancel_flow(std::uint64_t id);
 
-  std::size_t active_flows() const noexcept { return flows_.size(); }
+  std::size_t active_flows() const noexcept { return active_; }
+
+  /// Live cohorts.  A cohort's storage is released when its last member
+  /// completes or is cancelled.
+  std::size_t cohorts() const noexcept { return cohorts_.size(); }
 
   /// Total bytes that have fully crossed the link (completed flows).
   double completed_bytes() const noexcept { return completed_bytes_; }
@@ -112,35 +129,49 @@ class PsLink {
   double cancelled_bytes() const noexcept { return cancelled_bytes_; }
 
   /// Every byte that has crossed the link up to the queue's current time:
-  /// completed, in-flight and cancelled flows alike.  Settles the active
-  /// flows to now first, so the difference of two readings is exactly the
-  /// bytes moved between them.
-  double moved_bytes() {
-    advance_to_now();
-    return moved_bytes_;
+  /// completed, in-flight and cancelled flows alike.  A busy link moves
+  /// exactly its capacity, so this is capacity x (busy time), and the
+  /// difference of two readings is exactly the bytes moved between them.
+  double moved_bytes() const noexcept {
+    const double open = active_ ? queue_->now() - busy_since_ : 0.0;
+    return capacity_ * (busy_time_ + open);
   }
 
  private:
-  struct PsFlow {
-    std::uint64_t id;
-    double total;
-    double remaining;
+  /// Flows [first id, first id + count) that started together with one size.
+  struct Cohort {
+    double tag;         ///< V at which every member finishes
+    double start_v;     ///< V at the start
     double start_time;
+    std::uint64_t bytes;
+    std::uint64_t count = 1;
+    std::uint64_t live = 1;
+    std::vector<bool> cancelled;  ///< by member index; empty until a cancel
   };
 
   void advance_to_now();
-  void arm_next_completion();
+  double eta(double tag) const;
+  void leave(std::uint64_t flows);
+  void arm();
+  void wake();
 
   EventQueue* queue_;
   double capacity_;
   CompletionHandler on_completion_;
-  std::vector<PsFlow> flows_;
+  std::map<std::uint64_t, Cohort> cohorts_;           ///< by first id
+  std::set<std::pair<double, std::uint64_t>> order_;  ///< (tag, first id)
+  std::uint64_t newest_cohort_ = 0;                   ///< first id; 0 = none
+  std::size_t active_ = 0;
+  double v_ = 0;            ///< virtual clock; reset when the link idles
   double last_update_ = 0;
+  double busy_time_ = 0;    ///< closed busy periods, in seconds
+  double busy_since_ = 0;   ///< start of the open busy period
+  bool armed_ = false;
+  double armed_at_ = 0;
+  EventQueue::EventId wakeup_ = 0;
   double completed_bytes_ = 0;
   double cancelled_bytes_ = 0;
-  double moved_bytes_ = 0;
   std::uint64_t next_id_ = 1;
-  std::uint64_t arm_generation_ = 0;  ///< invalidates stale completion events
 };
 
 }  // namespace rangeamp::sim

@@ -277,6 +277,51 @@ TEST(TableI_KeyCdn, FirstSightingNotCached) {
   EXPECT_EQ(bed.origin().request_log().size(), 2u);
 }
 
+Request closed_range_get(const std::string& target) {
+  Request req = http::make_get("site.example", target);
+  req.headers.add("Range", "bytes=0-0");
+  return req;
+}
+
+TEST(TableI_KeyCdn, CacheBustingFloodKeepsFirstSightingsBounded) {
+  // A fresh query string per request is a first sighting every time; the
+  // node remembers at most its cache's ghost budget of them.
+  VendorProfile profile = make_profile(Vendor::kKeyCdn);
+  const VendorLogic& logic = *profile.logic;
+  const CacheTraits& cache = profile.traits.cache;
+  const std::size_t budget = cache.ghost_entries * cache.shards;
+  core::SingleCdnTestbed bed(std::move(profile));
+  bed.origin().resources().add_synthetic("/t.bin", 1024);
+  for (int i = 0; i < 100'000; ++i) {
+    bed.send(closed_range_get("/t.bin?cb=" + std::to_string(i)));
+    if (i % 1000 == 999) bed.origin().clear_log();
+  }
+  EXPECT_EQ(logic.remembered_keys(), budget);
+  EXPECT_EQ(bed.cdn().cache().size(), 0u);  // first sightings are not cached
+}
+
+TEST(TableI_KeyCdn, DeletionForgetsTheKeyAndOldestSightingGoesFirst) {
+  VendorProfile profile = make_profile(Vendor::kKeyCdn);
+  const VendorLogic& logic = *profile.logic;
+  profile.traits.cache.ghost_entries = 2;
+  core::SingleCdnTestbed bed(std::move(profile));
+  bed.origin().resources().add_synthetic("/t.bin", 1024);
+  const auto origin_range = [&] {
+    const Request& last = bed.origin().request_log().back();
+    return std::string{last.headers.get_or("Range", "")};
+  };
+  for (const char* target : {"/t.bin?a", "/t.bin?b", "/t.bin?c"}) {
+    bed.send(closed_range_get(target));
+  }
+  EXPECT_EQ(logic.remembered_keys(), 2u);  // ?a was forgotten for ?c
+  bed.send(closed_range_get("/t.bin?c"));  // second sighting: Deletion
+  EXPECT_EQ(origin_range(), "");
+  EXPECT_EQ(logic.remembered_keys(), 1u);  // ?c is cached, not remembered
+  bed.send(closed_range_get("/t.bin?a"));  // a first sighting again
+  EXPECT_EQ(origin_range(), "bytes=0-0");
+  EXPECT_EQ(logic.remembered_keys(), 2u);
+}
+
 TEST(TableI_StackPath, LazyThenDeletionOn206) {
   // Row: "bytes=... -> bytes=... [& None]".
   const auto o = run(Vendor::kStackPath, kMiB, "bytes=0-0");

@@ -5,6 +5,7 @@
 
 #include "cdn/logic.h"
 #include "cdn/node.h"
+#include "cdn/profiles.h"
 #include "cdn/rules.h"
 #include "core/testbed.h"
 
@@ -185,6 +186,22 @@ TEST(NegativeCache, FailureIsRememberedForItsTtl) {
   faults.clear_rules();
   EXPECT_EQ(bed.send(ranged("/r.bin", "bytes=0-0")).status, 206);
   EXPECT_EQ(faults.transfers_seen(), 2u);
+}
+
+TEST(NegativeCache, OtherDegradationsNeverProbeTheNegativeEntry) {
+  // Only kNegativeCache writes `#neg` entries, so a Cloudflare SBR miss
+  // looks up the entity and its `#vary` marker and nothing else.
+  VendorProfile profile = make_profile(Vendor::kCloudflare);
+  ASSERT_NE(profile.traits.resilience.degradation,
+            DegradationPolicy::kNegativeCache);
+  core::SingleCdnTestbed bed(std::move(profile));
+  bed.origin().resources().add_synthetic("/r.bin", 1000);
+  for (int i = 1; i <= 3; ++i) {
+    EXPECT_EQ(bed.send(ranged("/r.bin?cb=" + std::to_string(i), "bytes=0-0"))
+                  .status,
+              206);
+    EXPECT_EQ(bed.cdn().cache().misses(), 2u * static_cast<unsigned>(i));
+  }
 }
 
 // ---------------------------------------------------------------------------

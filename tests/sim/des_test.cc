@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 #include "sim/attack_load.h"
 
 namespace rangeamp::sim {
@@ -348,6 +352,167 @@ TEST(PsLink, CancelUnknownOrCompletedFlowIsANoOp) {
   queue.run_until(10.0);               // flow completed at t=1
   EXPECT_FALSE(link.cancel_flow(id));  // already done
   EXPECT_DOUBLE_EQ(link.cancelled_bytes(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Virtual-time cohorts: one wake-up, closed-form times and byte counts
+// ---------------------------------------------------------------------------
+
+TEST(PsLinkCohort, CancellingOneMemberLeavesSurvivorsOnTheClosedForm) {
+  // 2000 x 1000 B on 1e6 B/s: every flow has 500 B left at t=1.  One is
+  // cancelled there, so the other 1999 share the link for 500 B each and
+  // finish together at 1 + 1999 * 500 / 1e6.
+  EventQueue queue;
+  std::vector<std::uint64_t> ids;
+  std::vector<double> completions;
+  PsLink link(queue, 1e6, [&](std::uint64_t id, std::uint64_t, double) {
+    ids.push_back(id);
+    completions.push_back(queue.now());
+  });
+  std::vector<std::uint64_t> started;
+  for (int i = 0; i < 2000; ++i) started.push_back(link.start_flow(1000));
+  EXPECT_EQ(link.cohorts(), 1u);
+  const std::uint64_t doomed = started[1234];
+  queue.schedule(1.0, [&] { EXPECT_TRUE(link.cancel_flow(doomed)); });
+  queue.run_until(10.0);
+  ASSERT_EQ(completions.size(), 1999u);
+  for (const double at : completions) {
+    EXPECT_NEAR(at, 1.0 + 1999 * 500 / 1e6, 1e-9);
+  }
+  EXPECT_EQ(std::count(ids.begin(), ids.end(), doomed), 0);
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));  // start order
+  EXPECT_NEAR(link.cancelled_bytes(), 500.0, 1e-9);
+  EXPECT_DOUBLE_EQ(link.completed_bytes(), 1999 * 1000.0);
+  EXPECT_EQ(link.cohorts(), 0u);
+}
+
+TEST(PsLinkCohort, CancelInsideAHugeCohortIsExactPerMember) {
+  // Cancelling is a lookup of the member, never a scan of its cohort: half
+  // of a 100k-flow cohort is cancelled back to front, each exactly once.
+  constexpr std::uint64_t kFlows = 100'000;
+  EventQueue queue;
+  std::vector<std::uint64_t> ids;
+  double last_completion = -1;
+  PsLink link(queue, 1e6, [&](std::uint64_t id, std::uint64_t, double) {
+    ids.push_back(id);
+    last_completion = queue.now();
+  });
+  std::vector<std::uint64_t> started;
+  for (std::uint64_t i = 0; i < kFlows; ++i) {
+    started.push_back(link.start_flow(10));
+  }
+  EXPECT_EQ(link.cohorts(), 1u);
+  for (std::uint64_t i = kFlows; i-- > 0;) {
+    if (i % 2 == 1) {
+      EXPECT_TRUE(link.cancel_flow(started[i]));
+    }
+  }
+  for (std::uint64_t i = 1; i < kFlows; i += 2) {
+    EXPECT_FALSE(link.cancel_flow(started[i])) << i;  // already cancelled
+  }
+  EXPECT_EQ(link.active_flows(), kFlows / 2);
+  queue.run_until(10.0);
+  ASSERT_EQ(ids.size(), kFlows / 2);
+  for (std::uint64_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(ids[i], started[2 * i]);
+  }
+  // Cancelled at t=0, before moving a byte; the 50k survivors move 10 B
+  // each and finish together at 0.5 s.
+  EXPECT_DOUBLE_EQ(link.cancelled_bytes(), 0.0);
+  EXPECT_NEAR(last_completion, 0.5, 1e-12);
+  EXPECT_NEAR(link.moved_bytes(), kFlows / 2 * 10.0, 1e-6);
+}
+
+TEST(PsLinkCohort, SameInstantBurstArmsOneWakeup) {
+  // A 2000-flow burst is one cohort behind one armed event, not 2000.
+  EventQueue queue;
+  std::size_t completions = 0;
+  PsLink link(queue, 125e6, [&](std::uint64_t, std::uint64_t, double) {
+    ++completions;
+  });
+  for (int i = 0; i < 2000; ++i) link.start_flow(65'800);
+  EXPECT_EQ(queue.pending(), 1u);
+  EXPECT_EQ(link.cohorts(), 1u);
+  // A second burst of another size half-way through: still one wake-up.
+  std::size_t pending_after_second = 0;
+  std::size_t cohorts_after_second = 0;
+  queue.schedule(0.5, [&] {
+    for (int i = 0; i < 2000; ++i) link.start_flow(1000);
+    pending_after_second = queue.pending();
+    cohorts_after_second = link.cohorts();
+  });
+  queue.run_until(10.0);
+  EXPECT_EQ(pending_after_second, 1u);
+  EXPECT_EQ(cohorts_after_second, 2u);
+  EXPECT_EQ(completions, 4000u);
+  EXPECT_EQ(queue.pending(), 0u);
+}
+
+TEST(PsLinkCohort, BusyLinkMovesExactlyCapacityTimesT) {
+  // On a link that never idles the moved bytes are capacity x t at every
+  // whole second, to the last bit: sbr_flood's projection shape, and an
+  // awkward capacity where summed per-event increments drift.
+  struct Shape {
+    double capacity;
+    std::vector<std::uint64_t> burst;  // flow sizes started each second
+  };
+  const Shape shapes[] = {
+      {125e6, std::vector<std::uint64_t>(2000, 65'800)},
+      {1000.0 / 3, {37, 101, 250, 7}},
+  };
+  for (const Shape& shape : shapes) {
+    EventQueue queue;
+    PsLink link(queue, shape.capacity,
+                [](std::uint64_t, std::uint64_t, double) {});
+    std::vector<double> readings;
+    for (int s = 1; s <= 10; ++s) {
+      queue.schedule(s, [&] { readings.push_back(link.moved_bytes()); });
+    }
+    for (int s = 0; s < 10; ++s) {
+      queue.schedule(s, [&] {
+        for (const std::uint64_t bytes : shape.burst) link.start_flow(bytes);
+      });
+    }
+    queue.run_until(10.5);
+    ASSERT_EQ(readings.size(), 10u);
+    for (std::size_t s = 0; s < readings.size(); ++s) {
+      EXPECT_EQ(readings[s], shape.capacity * static_cast<double>(s + 1))
+          << "capacity " << shape.capacity << " t=" << s + 1;
+    }
+    EXPECT_GT(link.active_flows(), 0u);  // still busy at t=10
+  }
+}
+
+TEST(PsLinkCohort, CohortStorageIsReleased) {
+  // 1e5 flows, one per millisecond, each 700 B on 1e6 B/s: every cohort's
+  // storage goes when its flow completes, so the cohort count never grows
+  // with the run.
+  constexpr int kFlows = 100'000;
+  EventQueue queue;
+  std::size_t completions = 0;
+  std::size_t peak_cohorts = 0;
+  PsLink link(queue, 1e6, [&](std::uint64_t, std::uint64_t, double) {
+    ++completions;
+  });
+  int started = 0;
+  std::function<void()> next = [&] {
+    link.start_flow(700);
+    peak_cohorts = std::max(peak_cohorts, link.cohorts());
+    if (++started < kFlows) queue.schedule_in(1e-3, next);
+  };
+  queue.schedule(0.0, next);
+  queue.run_until(kFlows * 1e-3 + 1.0);
+  EXPECT_EQ(completions, static_cast<std::size_t>(kFlows));
+  EXPECT_LE(peak_cohorts, 2u);
+  EXPECT_EQ(link.cohorts(), 0u);
+  EXPECT_EQ(queue.pending(), 0u);
+  // A cohort cancelled member by member is released with its last member.
+  std::vector<std::uint64_t> doomed;
+  for (int i = 0; i < 10; ++i) doomed.push_back(link.start_flow(1000));
+  for (const std::uint64_t id : doomed) EXPECT_TRUE(link.cancel_flow(id));
+  EXPECT_EQ(link.cohorts(), 0u);
+  EXPECT_EQ(link.active_flows(), 0u);
+  EXPECT_EQ(queue.pending(), 0u);
 }
 
 TEST(ShieldedLoad, DeadlineCancellationCutsPinnedResourceTime) {
